@@ -11,14 +11,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import DiskConfig, link_distance_nodes
-from .modes import compute_mode_probabilities, transmitter_count_pmf
+from .modes import compute_mode_probabilities
 from .popularity import PopularityProfile, hitting_probability
 from .quadrature import QuadratureSpec, QuadratureWarning, panel_rule
 
 __all__ = [
     "FDTR",
     "HDRX",
-    "PMF_PRUNE_TOL",
     "RECEIVER_KINDS",
     "SI_MODELS",
     "SI_PER_INTERFERER",
@@ -44,8 +43,9 @@ SI_PER_INTERFERER = "per-interferer"
 SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
-# Transmitter-count terms below this binomial mass are skipped in sweeps.
-PMF_PRUNE_TOL = 1e-12
+# Bytes of the (v, t, angle, zi) block the kernel evaluates at once; chunks of
+# the v axis keep memory bounded whatever node counts are asked for.
+_KERNEL_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -100,112 +100,112 @@ class SuccessCurve:
 
 
 class _LaplaceEvaluator:
-    """Tensor Gauss-Legendre grids for the interference transform, reusable across s and n_t.
+    """Tensor Gauss-Legendre grids for the interference transform on the unit disk.
 
     The per-interferer kernel factorizes as exp(-s*1_FD*beta*z0**alpha) times
     1/(1 + s*(zi/wi)**alpha), so the serving-distance factor pulls out of the
-    inner (wi, zi) integral exactly.  The inner integral K(v, t) therefore
-    depends only on s, and each transmitter count just raises it to
-    ``n_t - 1``; the FDTR case multiplies by a 1-D z0 integral.  The wi
+    inner (wi, zi) integral exactly.  The inner integral K(v, t) depends only
+    on s, and ``n_t - 1`` interferers raise it to that power.  Distances
+    scale with the radius R and the ratio zi/wi does not, so the grids are
+    built once on the unit disk: R and beta enter only the SI exponent, as
+    the scale ``beta * R**alpha`` times the unit-disk ``z0**alpha``.  The wi
     integral runs in the bearing angle (removing the endpoint divergences of
     the interferer-distance law) and the zi/z0 rim branches run in the
-    subtended angle (removing the square-root cusp at z = R - offset).
+    subtended angle (removing the square-root cusp at z = 1 - offset).
     """
 
-    # above this many tensor elements, the (v,t,angle,zi) grid is built in
-    # chunks per evaluation instead of being cached
-    _CACHE_ELEMENT_LIMIT = 20_000_000
-
-    def __init__(self, radius: float, alpha: float, node_items: tuple):
+    def __init__(self, alpha: float, node_items: tuple):
         nodes = dict(node_items)
-        self.radius = radius
-        self.alpha = alpha
-        disk = DiskConfig(radius)
-        n_v, n_t = nodes["v"], nodes["t"]
-        n_phi, n_zi, n_z0 = nodes["angle"], nodes["zi"], nodes["z0"]
+        n_v, n_t, n_phi = nodes["v"], nodes["t"], nodes["angle"]
 
-        self.v_nodes, v_wts = panel_rule(0.0, radius, n_v)
-        self.t_nodes, t_wts = panel_rule(0.0, radius, n_t)
-        self.vt_weight = np.outer(
-            v_wts * 2.0 * self.v_nodes / radius**2,
-            t_wts * 2.0 * self.t_nodes / radius**2,
-        )
+        v_nodes, v_wts = panel_rule(0.0, 1.0, n_v)
+        t_nodes, t_wts = panel_rule(0.0, 1.0, n_t)
+        self.vt_weight = np.outer(v_wts * 2.0 * v_nodes, t_wts * 2.0 * t_nodes)
 
         phi, phi_wts = panel_rule(0.0, np.pi, n_phi)
         self.phi_weight = phi_wts / np.pi
 
-        zi_rows = [link_distance_nodes(float(t), disk, n_zi) for t in self.t_nodes]
-        zi = np.stack([row[0] for row in zi_rows])
-        self.zi_wts = np.stack([row[1] for row in zi_rows])
-        self.zi_pow = zi**alpha
-
-        z0_rows = [link_distance_nodes(float(v), disk, n_z0) for v in self.v_nodes]
-        z0 = np.stack([row[0] for row in z0_rows])
-        self.z0_wts = np.stack([row[1] for row in z0_rows])
-        self.z0_pow = z0**alpha
+        self.zi_pow, self.zi_wts = _link_nodes(t_nodes, nodes["zi"], alpha)
+        self.z0_pow, self.z0_wts = _link_nodes(v_nodes, nodes["z0"], alpha)
 
         w_sq = (
-            self.v_nodes[:, None, None] ** 2
-            + self.t_nodes[None, :, None] ** 2
-            - 2.0 * np.outer(self.v_nodes, self.t_nodes)[:, :, None] * np.cos(phi)[None, None, :]
+            v_nodes[:, None, None] ** 2
+            + t_nodes[None, :, None] ** 2
+            - 2.0 * np.outer(v_nodes, t_nodes)[:, :, None] * np.cos(phi)[None, None, :]
         )
         self.w_pow = np.maximum(w_sq, 0.0) ** (alpha / 2.0)
 
-        self.grid_evaluations = n_v * n_t * n_phi * zi.shape[1]
-        self.z0_evaluations = n_v * z0.shape[1]
-        self._ratio = None
-        if self.grid_evaluations <= self._CACHE_ELEMENT_LIMIT:
-            self._ratio = self.zi_pow[None, :, None, :] / self.w_pow[..., None]
+        self.grid_evaluations = n_v * n_phi * self.zi_pow.size
+        self.z0_evaluations = self.z0_pow.size
         self._k_cache: dict = {}
 
     def k_grid(self, s: float) -> np.ndarray:
-        """Inner (wi, zi) expectation of 1/(1 + s*(zi/wi)**alpha) on the (v, t) grid."""
+        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid."""
         key = float(s)
         cached = self._k_cache.get(key)
         if cached is not None:
             return cached
-        n_v = self.v_nodes.size
-        if self._ratio is not None:
-            damp = 1.0 / (1.0 + s * self._ratio)
-            k = np.einsum("vtpk,tk->vtp", damp, self.zi_wts) @ self.phi_weight
-        else:
-            n_t, n_phi = self.t_nodes.size, self.phi_weight.size
-            n_z = self.zi_pow.shape[1]
-            k = np.empty((n_v, n_t))
-            step = max(1, self._CACHE_ELEMENT_LIMIT // (n_t * n_phi * n_z))
-            for i in range(0, n_v, step):
-                ratio = self.zi_pow[None, :, None, :] / self.w_pow[i : i + step, ..., None]
-                damp = 1.0 / (1.0 + s * ratio)
-                k[i : i + step] = np.einsum("vtpk,tk->vtp", damp, self.zi_wts) @ self.phi_weight
+        n_v = self.w_pow.shape[0]
+        step = max(1, _KERNEL_CHUNK_BYTES * n_v // (8 * self.grid_evaluations))
+        s_zi = s * self.zi_pow[:, None, :]
+        k = np.empty(self.vt_weight.shape)
+        for i in range(0, n_v, step):
+            w = self.w_pow[i : i + step, ..., None]
+            damp = w + s_zi
+            np.divide(w, damp, out=damp)
+            k[i : i + step] = np.einsum("vtpk,tk->vtp", damp, self.zi_wts) @ self.phi_weight
         if len(self._k_cache) > 4096:
             self._k_cache.clear()
         self._k_cache[key] = k
         return k
 
-    def laplace(self, s, delta, n_t, beta, si_model) -> float:
+    def laplace(self, s, delta, n_t, scale, si_model) -> float:
         m_grid = self.k_grid(s) ** (n_t - 1)
         if delta == HDRX:
             return float(np.sum(self.vt_weight * m_grid))
         n_si = (n_t - 1) if si_model == SI_PER_INTERFERER else 1
-        si_factor = np.exp(-(s * beta * n_si) * self.z0_pow)
+        si_factor = np.exp(-(s * scale * n_si) * self.z0_pow)
         serving = np.einsum("vk,vk->v", self.z0_wts, si_factor)
         return float(np.sum(self.vt_weight * m_grid * serving[:, None]))
 
+    def count_average(self, s, scale, p_tx, n_users, si_model) -> tuple:
+        """HDRX and FDTR transforms averaged over a Binomial(n_users, p_tx) transmitter count."""
+        k = self.k_grid(s)
+        g = _count_sum(k, p_tx, n_users)
+        si_factor = np.exp(-(s * scale) * self.z0_pow)
+        if si_model == SI_SINGLE:
+            fdtr = g * np.einsum("vk,vk->v", self.z0_wts, si_factor)[:, None]
+        else:
+            g_fd = _count_sum(k[:, :, None] * si_factor[:, None, :], p_tx, n_users)
+            fdtr = np.einsum("vtk,vk->vt", g_fd, self.z0_wts)
+        return float(np.sum(self.vt_weight * g)), float(np.sum(self.vt_weight * fdtr))
 
-@lru_cache(maxsize=8)
-def _evaluator(radius: float, alpha: float, node_items: tuple) -> _LaplaceEvaluator:
-    return _LaplaceEvaluator(radius, alpha, node_items)
+
+def _link_nodes(offsets, nodes: int, alpha: float):
+    """Link-distance nodes (raised to alpha) and weights on the unit disk, one row per offset."""
+    rows = [link_distance_nodes(float(q), DiskConfig(1.0), nodes) for q in offsets]
+    return np.stack([row[0] for row in rows]) ** alpha, np.stack([row[1] for row in rows])
 
 
-def _validate_laplace_args(s, delta, n_t, si_model):
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"transform argument must be finite and nonnegative, got s={s}")
-    if delta not in RECEIVER_KINDS:
-        raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
-    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
+_unit_evaluator = lru_cache(maxsize=8)(_LaplaceEvaluator)
+_DEFAULT_SPEC = QuadratureSpec()
+
+
+def _evaluator(cfg: ModelConfig, spec: Optional[QuadratureSpec], delta: str, si_model: str):
+    """The shared unit-disk evaluator and the SI scale ``beta * R**alpha`` of ``cfg``."""
     if si_model not in SI_MODELS:
         raise ValueError(f"si_model must be one of {SI_MODELS}, got {si_model!r}")
+    spec = spec if spec is not None else _DEFAULT_SPEC
+    ev = _unit_evaluator(cfg.channel.alpha, spec.node_items())
+    cost = ev.grid_evaluations + (ev.z0_evaluations if delta == FDTR else 0)
+    if cost > spec.max_evaluations:
+        warnings.warn(
+            QuadratureWarning(
+                f"interference transform needs ~{cost} evaluations, over the "
+                f"budget of {spec.max_evaluations}; result is still computed"
+            )
+        )
+    return ev, cfg.channel.beta * cfg.disk.radius**cfg.channel.alpha
 
 
 def laplace_interference(
@@ -240,18 +240,14 @@ def laplace_interference(
     si_model : str
         Self-interference accounting, see :data:`SI_MODELS`.
     """
-    _validate_laplace_args(s, delta, n_t, si_model)
-    spec = spec if spec is not None else QuadratureSpec()
-    ev = _evaluator(cfg.disk.radius, cfg.channel.alpha, spec.node_items())
-    cost = ev.grid_evaluations + (ev.z0_evaluations if delta == FDTR else 0)
-    if cost > spec.max_evaluations:
-        warnings.warn(
-            QuadratureWarning(
-                f"interference transform needs ~{cost} evaluations, over the "
-                f"budget of {spec.max_evaluations}; result is still computed"
-            )
-        )
-    return ev.laplace(s, delta, int(n_t), cfg.channel.beta, si_model)
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"transform argument must be finite and nonnegative, got s={s}")
+    if delta not in RECEIVER_KINDS:
+        raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
+    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
+        raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
+    ev, scale = _evaluator(cfg, spec, delta, si_model)
+    return ev.laplace(s, delta, int(n_t), scale, si_model)
 
 
 def success_probability_cache(cfg: ModelConfig) -> float:
@@ -259,23 +255,22 @@ def success_probability_cache(cfg: ModelConfig) -> float:
     return hitting_probability(cfg.profile, cfg.n_users) / cfg.n_users
 
 
-def _sir_success_terms(cfg, prune_tol=None):
-    """Mode probabilities and the transmitter counts (with weights) worth evaluating."""
-    mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-    pmf = transmitter_count_pmf(mp.p_tx, cfg.n_users).pmf
-    counts = range(1, cfg.n_users + 1)
-    if prune_tol is not None:
-        counts = [n for n in counts if pmf[n] >= prune_tol]
-    return mp, pmf, list(counts)
+def _count_sum(x, p_tx: float, n_users: int):
+    """G(x) = sum over n >= 1 of pmf[n] * x**(n - 1) for a Binomial(n_users, p_tx) count.
 
-
-def _sir_success(theta, cfg, spec, si_model, mp, pmf, counts):
-    total = 0.0
-    for n in counts:
-        lap_h = laplace_interference(theta, HDRX, n, cfg, spec, si_model)
-        lap_f = laplace_interference(theta, FDTR, n, cfg, spec, si_model)
-        total += pmf[n] * (mp.p_hdrx * lap_h + mp.p_fdtr * lap_f)
-    return float(total)
+    Equals ((q + p*x)**N - q**N) / x with q = 1 - p, evaluated as
+    exp(N*log(q) + a) * -expm1(-a) / x with a = N*log1p(p*x/q): precise for
+    small x, and finite where q**N underflows.  Below 1e-150 it is the limit
+    pmf[1], as log1p(p*x/q)/x loses its precision for subnormal x.
+    """
+    if p_tx == 1.0:
+        return x ** (n_users - 1)
+    q = 1.0 - p_tx
+    tiny = x < 1e-150
+    x = np.where(tiny, 1.0, x)
+    a = n_users * np.log1p(p_tx / q * x)
+    total = np.exp(n_users * math.log(q) + a) * -np.expm1(-a) / x
+    return np.where(tiny, n_users * p_tx * q ** (n_users - 1), total)
 
 
 def success_probability(
@@ -287,19 +282,16 @@ def success_probability(
     """Success probability of an arbitrary user at SIR threshold ``theta``.
 
     The cache part is ``P_hit / N``; the SIR part averages the HDRX and FDTR
-    tail probabilities over the binomial transmitter count.
+    tail probabilities over the binomial transmitter count.  This is the
+    one-threshold :func:`success_curve`.
 
     Returns
     -------
     SuccessProbability
         Named tuple ``(p_total, p_cache, p_sir)``.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"SIR threshold must be positive and finite, got theta={theta}")
-    p_cache = success_probability_cache(cfg)
-    mp, pmf, counts = _sir_success_terms(cfg)
-    p_sir = _sir_success(theta, cfg, spec, si_model, mp, pmf, counts)
-    return SuccessProbability(p_cache + p_sir, p_cache, p_sir)
+    curve = success_curve(cfg, [theta], spec, si_model)
+    return SuccessProbability(float(curve.p_total[0]), curve.p_cache, float(curve.p_sir[0]))
 
 
 def success_curve(
@@ -310,8 +302,11 @@ def success_curve(
 ) -> SuccessCurve:
     """Analytic success curve over an ascending grid of positive thresholds.
 
-    The inner quadrature grid is shared across thresholds and transmitter
-    counts; binomial terms with mass below :data:`PMF_PRUNE_TOL` are skipped.
+    The unit-disk kernel K is computed once per threshold for every radius,
+    beta and user count.  The binomial transmitter count is summed in closed
+    form by G(x) = sum_{n>=1} pmf[n] x**(n-1): HDRX receivers, and FDTR ones
+    under the single SI model, take G(K); per-interferer FDTR receivers take
+    sum_k z0_w G(K*e_k) with e_k = exp(-theta*beta*R**alpha*z0_k**alpha).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -320,9 +315,13 @@ def success_curve(
         raise ValueError("thetas must be positive and finite")
     if np.any(np.diff(thetas) < 0):
         raise ValueError("thetas must be sorted ascending")
+    ev, scale = _evaluator(cfg, spec, FDTR, si_model)
     p_cache = success_probability_cache(cfg)
-    mp, pmf, counts = _sir_success_terms(cfg, prune_tol=PMF_PRUNE_TOL)
-    p_sir = np.array([_sir_success(float(th), cfg, spec, si_model, mp, pmf, counts) for th in thetas])
+    mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
+    p_sir = np.empty(thetas.size)
+    for i, theta in enumerate(thetas.tolist()):
+        hdrx, fdtr = ev.count_average(theta, scale, mp.p_tx, cfg.n_users, si_model)
+        p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
     return SuccessCurve(
         thetas=thetas,
         p_cache=p_cache,

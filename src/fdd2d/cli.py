@@ -22,7 +22,7 @@ from .geometry import DiskConfig
 from .modes import MODE_FIELDS, compute_mode_probabilities
 from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
-from .simulator import Mode, SimConfig, run_experiment
+from .simulator import Mode, SimConfig, resolve_workers, run_experiment
 
 __all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
 
@@ -45,21 +45,6 @@ CSV_COLUMNS = [
 
 RUN_MODES = ("analytic", "simulate", "both")
 SWEEPABLE = ("n_users", "gamma_r", "radius", "beta")
-
-_DEFAULTS = {
-    "mode": "analytic",
-    "radius": "30",
-    "library_size": "1000",
-    "zipf": "1.2",
-    "alpha": "4",
-    "beta": "1e-5",
-    "theta_db": "-10:30:2",
-    "trials": "10000",
-    "seed": "0",
-    "si_model": SI_PER_INTERFERER,
-    "out": "results.csv",
-}
-
 
 @dataclass(frozen=True)
 class ThetaGrid:
@@ -114,14 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="flat key=value file; flags override file values")
-    parser.add_argument("--mode", choices=RUN_MODES, help=f"what to compute (default {_DEFAULTS['mode']})")
+    parser.add_argument("--mode", choices=RUN_MODES, default="analytic", help="what to compute (default %(default)s)")
     parser.add_argument("--n-users", dest="n_users", help="number of users N (required)")
-    parser.add_argument("--radius", help=f"disk radius in meters (default {_DEFAULTS['radius']})")
-    parser.add_argument("--library-size", dest="library_size", help=f"content library size m (default {_DEFAULTS['library_size']})")
-    parser.add_argument("--zipf", help=f"Zipf skew exponent gamma_r (default {_DEFAULTS['zipf']})")
-    parser.add_argument("--alpha", help=f"path-loss exponent, > 2 (default {_DEFAULTS['alpha']})")
-    parser.add_argument("--beta", help=f"residual self-interference power ratio in [0,1] (default {_DEFAULTS['beta']})")
-    parser.add_argument("--theta-db", dest="theta_db", help=f"SIR threshold grid start:stop:step in dB (default {_DEFAULTS['theta_db']})")
+    parser.add_argument("--radius", default="30", help="disk radius in meters (default %(default)s)")
+    parser.add_argument("--library-size", dest="library_size", default="1000", help="content library size m (default %(default)s)")
+    parser.add_argument("--zipf", default="1.2", help="Zipf skew exponent gamma_r (default %(default)s)")
+    parser.add_argument("--alpha", default="4", help="path-loss exponent, > 2 (default %(default)s)")
+    parser.add_argument("--beta", default="1e-5", help="residual self-interference power ratio in [0,1] (default %(default)s)")
+    parser.add_argument("--theta-db", dest="theta_db", default="-10:30:2", help="SIR threshold grid start:stop:step in dB (default %(default)s)")
     parser.add_argument(
         "--sweep",
         action="append",
@@ -129,20 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PARAM=V1,V2,...",
         help=f"sweep one of {SWEEPABLE}; repeat the flag to sweep several (cartesian product)",
     )
-    parser.add_argument("--trials", help=f"Monte Carlo trials (default {_DEFAULTS['trials']})")
-    parser.add_argument("--seed", help=f"master seed for the simulator (default {_DEFAULTS['seed']})")
-    parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, help="self-interference accounting (default per-interferer)")
+    parser.add_argument("--trials", default="10000", help="Monte Carlo trials (default %(default)s)")
+    parser.add_argument("--seed", default="0", help="master seed for the simulator (default %(default)s)")
+    parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, default=SI_PER_INTERFERER, help="self-interference accounting (default %(default)s)")
     parser.add_argument(
         "--quad-nodes",
         dest="quad_nodes",
         metavar="LEVEL=K,...",
         help=f"override quadrature node counts per level, defaults {DEFAULT_NODES}",
     )
-    parser.add_argument("--out", help=f"output CSV path (default {_DEFAULTS['out']})")
+    parser.add_argument("--out", default="results.csv", help="output CSV path (default %(default)s)")
     return parser
 
 
-def _read_config_file(path: str, error) -> dict:
+def _read_config_file(path: str, known, error) -> dict:
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -153,7 +138,10 @@ def _read_config_file(path: str, error) -> dict:
                 if "=" not in line:
                     error(f"--config {path}: line {lineno} is not key=value: {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = value
+                key = key.replace("-", "_")
+                if key not in known:
+                    error(f"--config {path}: line {lineno} has unknown key {key!r}; valid: {sorted(known)}")
+                values[key] = value
     except OSError as exc:
         error(f"--config: cannot read {path}: {exc}")
     return values
@@ -200,6 +188,8 @@ def _parse_sweep(entries, error) -> list:
         name = name.strip().replace("-", "_")
         if name not in SWEEPABLE:
             error(f"--sweep parameter must be one of {SWEEPABLE}, got {name!r}")
+        if any(name == swept for swept, _ in sweep):
+            error(f"--sweep {name} is given more than once; list all its values in one flag")
         raw_values = [v for v in values_text.split(",") if v.strip()]
         if not raw_values:
             error(f"--sweep {name} has no values")
@@ -248,54 +238,54 @@ def parse_args(argv=None) -> ExperimentSpec:
     Usage problems exit with status 2 and a message naming the flag.
     """
     parser = _build_parser()
-    args = parser.parse_args(_join_theta_flag(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
     error = parser.error
 
-    file_values = _read_config_file(args.config, error) if args.config else {}
+    file_sweep = []
+    if args.config:
+        # file values become the defaults that flags override; a --sweep flag
+        # replaces the file's sweep instead of adding to it
+        file_values = _read_config_file(args.config, set(vars(args)) - {"config"}, error)
+        file_sweep = [file_values.pop("sweep")] if "sweep" in file_values else []
+        parser.set_defaults(**file_values)
+        args = parser.parse_args(argv)
 
-    def setting(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return _DEFAULTS.get(name)
-
-    mode = setting("mode")
+    mode = args.mode
     if mode not in RUN_MODES:
         error(f"--mode must be one of {RUN_MODES}, got {mode!r}")
-    si_model = setting("si_model")
+    if mode != "analytic":
+        try:
+            resolve_workers()
+        except ValueError as exc:
+            error(str(exc))
+    si_model = args.si_model
     if si_model not in SI_MODELS:
         error(f"--si-model must be one of {SI_MODELS}, got {si_model!r}")
 
-    if setting("n_users") is None:
+    if args.n_users is None:
         error("--n-users is required (flag or config file)")
-    n_users = _parse_int(setting("n_users"), "--n-users", error, minimum=1)
-    library_size = _parse_int(setting("library_size"), "--library-size", error, minimum=1)
-    radius = _parse_float(setting("radius"), "--radius", error)
+    n_users = _parse_int(args.n_users, "--n-users", error, minimum=1)
+    library_size = _parse_int(args.library_size, "--library-size", error, minimum=1)
+    radius = _parse_float(args.radius, "--radius", error)
     if radius <= 0:
         error(f"--radius must be positive, got {radius}")
-    gamma_r = _parse_float(setting("zipf"), "--zipf", error)
+    gamma_r = _parse_float(args.zipf, "--zipf", error)
     if gamma_r < 0:
         error(f"--zipf must be nonnegative, got {gamma_r}")
-    alpha = _parse_float(setting("alpha"), "--alpha", error)
+    alpha = _parse_float(args.alpha, "--alpha", error)
     if alpha <= 2:
         error(f"--alpha must exceed 2, got {alpha}")
-    beta = _parse_float(setting("beta"), "--beta", error)
+    beta = _parse_float(args.beta, "--beta", error)
     if not 0 <= beta <= 1:
         error(f"--beta must lie in [0, 1], got {beta}")
-    trials = _parse_int(setting("trials"), "--trials", error, minimum=1)
-    seed = _parse_int(setting("seed"), "--seed", error, minimum=0)
+    trials = _parse_int(args.trials, "--trials", error, minimum=1)
+    seed = _parse_int(args.seed, "--seed", error, minimum=0)
 
-    theta_grid = _parse_theta_grid(setting("theta_db"), error)
+    theta_grid = _parse_theta_grid(args.theta_db, error)
 
-    sweep_entries = args.sweep if args.sweep is not None else (
-        [file_values["sweep"]] if "sweep" in file_values else []
-    )
-    sweep = _parse_sweep(sweep_entries, error)
-
-    quad_text = setting("quad_nodes")
-    quad_nodes = _parse_quad_nodes(quad_text, error) if quad_text else {}
+    sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
+    quad_nodes = _parse_quad_nodes(args.quad_nodes, error) if args.quad_nodes else {}
 
     if n_users > library_size:
         error(f"--n-users ({n_users}) must not exceed --library-size ({library_size})")
@@ -323,7 +313,7 @@ def parse_args(argv=None) -> ExperimentSpec:
         seed=seed,
         si_model=si_model,
         quad_nodes=quad_nodes,
-        output_path=setting("out"),
+        output_path=args.out,
     )
 
 

@@ -303,16 +303,15 @@ def _block_stats(args):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count for trial blocks; FD_D2D_THREADS caps the default."""
+    """Worker count for trial blocks; FD_D2D_THREADS, a positive integer, caps the default."""
     if workers is not None:
         return max(1, int(workers))
     available = os.cpu_count() or 1
     cap = os.environ.get("FD_D2D_THREADS")
     if cap:
-        try:
-            available = min(available, max(1, int(cap)))
-        except ValueError:
-            pass
+        if not cap.strip().isdecimal() or int(cap) < 1:
+            raise ValueError(f"FD_D2D_THREADS must be a positive integer, got {cap!r}")
+        available = min(available, int(cap))
     return available
 
 

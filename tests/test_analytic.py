@@ -4,6 +4,7 @@ import pytest
 from fdd2d import (
     FDTR,
     HDRX,
+    SI_MODELS,
     SI_SINGLE,
     ChannelConfig,
     DiskConfig,
@@ -157,15 +158,6 @@ def test_curve_monotone_and_additive():
     assert np.all(curve.p_total >= 0) and np.all(curve.p_total <= 1)
 
 
-def test_curve_pruning_keeps_binomial_mass():
-    from fdd2d.analytic import PMF_PRUNE_TOL
-
-    mp = compute_mode_probabilities(CFG.profile, CFG.n_users)
-    pmf = transmitter_count_pmf(mp.p_tx, CFG.n_users).pmf
-    used = sum(pmf[n] for n in range(1, CFG.n_users + 1) if pmf[n] >= PMF_PRUNE_TOL)
-    assert used + pmf[0] >= 1.0 - 1e-10
-
-
 def test_curve_rejects_bad_grids():
     with pytest.raises(ValueError):
         success_curve(CFG, [])
@@ -222,3 +214,65 @@ def test_wide_disk_sweep_is_monotone():
     curve = success_curve(cfg, thetas)
     assert np.all(np.diff(curve.p_total) <= 1e-12)
     assert np.all((curve.p_total >= 0) & (curve.p_total <= 1))
+
+
+def _per_count_mixture(cfg, thetas, si_model):
+    """Reference SIR part: sum over every transmitter count n of pmf[n] times the per-count transforms."""
+    mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
+    pmf = transmitter_count_pmf(mp.p_tx, cfg.n_users).pmf
+    return np.array([
+        sum(
+            pmf[n] * (
+                mp.p_hdrx * laplace_interference(theta, HDRX, n, cfg, si_model=si_model)
+                + mp.p_fdtr * laplace_interference(theta, FDTR, n, cfg, si_model=si_model)
+            )
+            for n in range(1, cfg.n_users + 1)
+        )
+        for theta in thetas
+    ])
+
+
+@pytest.mark.parametrize("alpha", [2.2, 4.0, 6.0])
+@pytest.mark.parametrize("si_model", SI_MODELS)
+def test_curve_matches_per_count_mixture(alpha, si_model):
+    thetas = 10.0 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10.0)
+    for n_users in (1, 2, 10, 40, 1000):
+        cfg = ModelConfig(n_users, DiskConfig(30.0), CFG.profile, ChannelConfig(alpha, 1e-5))
+        curve = success_curve(cfg, thetas, si_model=si_model)
+        np.testing.assert_allclose(curve.p_sir, _per_count_mixture(cfg, thetas, si_model), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("si_model", SI_MODELS)
+def test_curve_matches_per_count_mixture_at_underflow_edges(si_model):
+    # uniform demand at N = 1000 makes (1 - p_tx)**N underflow; beta*R**alpha
+    # = 2.9e5 at +30 dB drives the SI factor through subnormals to 0
+    cases = [
+        (ModelConfig(1000, DiskConfig(30.0), build_zipf(1000, 0.0), ChannelConfig(4.0, 1e-5)), [0.1, 1.0, 1000.0]),
+        (ModelConfig(40, DiskConfig(73.3), CFG.profile, ChannelConfig(4.0, 1e-2)), [1000.0]),
+    ]
+    for cfg, thetas in cases:
+        curve = success_curve(cfg, thetas, si_model=si_model)
+        np.testing.assert_allclose(curve.p_sir, _per_count_mixture(cfg, thetas, si_model), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("si_model", SI_MODELS)
+def test_curve_depends_on_radius_and_beta_only_through_scale(si_model):
+    # (R, beta) and (2R, beta/2**alpha) give the same beta*R**alpha bit for bit at alpha = 4
+    thetas = 10.0 ** (np.arange(-10, 31, 10) / 10.0)
+    base = ModelConfig(20, DiskConfig(30.0), CFG.profile, ChannelConfig(4.0, 1e-3))
+    scaled = ModelConfig(20, DiskConfig(60.0), CFG.profile, ChannelConfig(4.0, 1e-3 / 16.0))
+    np.testing.assert_array_equal(
+        success_curve(base, thetas, si_model=si_model).p_total,
+        success_curve(scaled, thetas, si_model=si_model).p_total,
+    )
+
+
+def test_count_sum_matches_binomial_polynomial():
+    from fdd2d.analytic import _count_sum
+
+    x = np.array([0.0, 5e-324, 1e-200, 1e-3, 0.5, 1.0])
+    for n_users in (1, 2, 7):
+        for p_tx in (0.0, 0.3, 1.0):
+            pmf = transmitter_count_pmf(p_tx, n_users).pmf
+            expected = sum(pmf[n] * x ** (n - 1) for n in range(1, n_users + 1))
+            np.testing.assert_allclose(_count_sum(x, p_tx, n_users), expected, rtol=1e-14, atol=0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fdd2d.cli import CSV_COLUMNS, parse_args
+from fdd2d.cli import CSV_COLUMNS, main, parse_args
 
 REPO_ENV = dict(os.environ)
 
@@ -80,6 +80,41 @@ def test_bad_sweep_parameter_exits_2():
     with pytest.raises(SystemExit) as exc:
         parse_args(["--n-users", "5", "--sweep", "alpha=3,4"])
     assert exc.value.code == 2
+
+
+def test_repeated_sweep_parameter_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--n-users", "5", "--sweep", "beta=0.1", "--sweep", "beta=0.2"])
+    assert exc.value.code == 2
+    assert "--sweep beta" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n_users = 5\nzipff = 0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "'zipff'" in capsys.readouterr().err
+
+
+def test_config_file_sweep_is_replaced_by_flag(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_users = 5\nsweep = n_users=5,10\n")
+    assert parse_args(["--config", str(cfg)]).sweep == [("n_users", [5, 10])]
+    assert parse_args(["--config", str(cfg), "--sweep", "beta=0.1"]).sweep == [("beta", [0.1])]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_invalid_worker_env_exits_2(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FD_D2D_THREADS", threads)
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "simulate", "--n-users", "5", "--theta-db", "0:0:1",
+              "--trials", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "FD_D2D_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analytic_run_writes_schema_stable_csv(tmp_path):
