@@ -15,42 +15,18 @@ from .analytic import (
     success_probability,
     success_probability_cache,
 )
-from .geometry import (
-    DiskConfig,
-    Point2D,
-    link_distance_nodes,
-    pdf_interferer_distance,
-    pdf_link_distance,
-    sample_interferer_distance,
-    sample_link_distance,
-    sample_uniform_disk,
-)
-from .modes import (
-    ModeProbabilities,
-    TransmitterCountPmf,
-    compute_mode_probabilities,
-    transmit_probability,
-    transmitter_count_pmf,
-)
+from .geometry import DiskConfig, link_distance_nodes
+from .modes import ModeProbabilities, compute_mode_probabilities
 from .popularity import PopularityProfile, build_zipf, hitting_probability, sample_request
-from .quadrature import (
-    DEFAULT_NODES,
-    QuadratureError,
-    QuadratureSpec,
-    QuadratureWarning,
-    integrate_1d,
-    refine_until,
-)
+from .quadrature import DEFAULT_NODES, QuadratureSpec, QuadratureWarning, refine_until
 from .simulator import (
     Mode,
     ModeFrequencyReport,
     NetworkRealization,
     SimConfig,
-    TrialResult,
     classify_modes,
     link_sir,
     run_experiment,
-    run_trial,
     sample_realization,
     trial_success,
 )

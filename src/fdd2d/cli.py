@@ -128,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str, known, error) -> dict:
-    values = {}
+    """Values by key; ``sweep`` lines add up to a list, any other key may appear once."""
+    values = {"sweep": []}
+    first_line = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -141,6 +143,12 @@ def _read_config_file(path: str, known, error) -> dict:
                 key = key.replace("-", "_")
                 if key not in known:
                     error(f"--config {path}: line {lineno} has unknown key {key!r}; valid: {sorted(known)}")
+                if key == "sweep":
+                    values["sweep"].append(value)
+                    continue
+                if key in first_line:
+                    error(f"--config {path}: key {key!r} is given on line {first_line[key]} and again on line {lineno}")
+                first_line[key] = lineno
                 values[key] = value
     except OSError as exc:
         error(f"--config: cannot read {path}: {exc}")
@@ -213,6 +221,8 @@ def _parse_quad_nodes(text, error) -> dict:
         level = level.strip()
         if level not in DEFAULT_NODES:
             error(f"--quad-nodes level must be one of {sorted(DEFAULT_NODES)}, got {level!r}")
+        if level in overrides:
+            error(f"--quad-nodes level {level!r} is given more than once")
         overrides[level] = _parse_int(count, "--quad-nodes", error, minimum=4)
     return overrides
 
@@ -247,7 +257,7 @@ def parse_args(argv=None) -> ExperimentSpec:
         # file values become the defaults that flags override; a --sweep flag
         # replaces the file's sweep instead of adding to it
         file_values = _read_config_file(args.config, set(vars(args)) - {"config"}, error)
-        file_sweep = [file_values.pop("sweep")] if "sweep" in file_values else []
+        file_sweep = file_values.pop("sweep")
         parser.set_defaults(**file_values)
         args = parser.parse_args(argv)
 

@@ -1,25 +1,20 @@
-"""Uniform-disk point sampling and the conditional distance laws of the network geometry."""
+"""Deployment disk and the quadrature rule for the conditional link-distance law.
+
+:func:`link_distance_nodes` integrates against the density of the distance
+from a point at offset ``q`` to a uniform point of the disk; the analytic
+transform builds every distance level from it.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .quadrature import panel_rule
 
-__all__ = [
-    "DiskConfig",
-    "Point2D",
-    "link_distance_nodes",
-    "pdf_interferer_distance",
-    "pdf_link_distance",
-    "sample_interferer_distance",
-    "sample_link_distance",
-    "sample_uniform_disk",
-]
+__all__ = ["DiskConfig", "link_distance_nodes"]
 
 
 @dataclass(frozen=True)
@@ -33,132 +28,16 @@ class DiskConfig:
             raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
 
 
-class Point2D(NamedTuple):
-    x: float
-    y: float
-
-
-def sample_uniform_disk(cfg: DiskConfig, rng: np.random.Generator, size=None):
-    """Draw points uniformly over the disk.
-
-    Polar inversion: radius ``R*sqrt(U)``, angle ``2*pi*V``.
-
-    Returns
-    -------
-    Point2D when ``size`` is None, else an ndarray of shape ``(size, 2)``.
-    """
-    r = cfg.radius * np.sqrt(rng.random(size))
-    ang = 2.0 * np.pi * rng.random(size)
-    if size is None:
-        return Point2D(float(r * np.cos(ang)), float(r * np.sin(ang)))
-    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-
-
-def _as_float_array(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
-
-
-def pdf_link_distance(z, q: float, cfg: DiskConfig):
-    """Density of the distance from a point at offset ``q`` to a uniform disk point.
-
-    Two branches: ``2z/R**2`` while the circle of radius ``z`` around the
-    point stays inside the disk (``z <= R - q``), and the arccos-clipped form
-    on ``R - q < z <= R + q``; zero beyond.  ``q`` is the distance of the
-    reference point from the disk center.
-
-    Parameters
-    ----------
-    z : float or array_like
-        Nonnegative evaluation distances.
-    q : float
-        Offset of the conditioning point, ``0 <= q <= R``.
-    """
-    radius = cfg.radius
-    if not 0 <= q <= radius:
-        raise ValueError(f"offset q must lie in [0, R={radius}], got {q}")
-    z_arr = _as_float_array(z, "z")
-    out = np.zeros_like(z_arr)
-    near = z_arr <= radius - q
-    out[near] = 2.0 * z_arr[near] / radius**2
-    if q > 0:
-        rim = (z_arr > radius - q) & (z_arr <= radius + q)
-        if np.any(rim):
-            zr = z_arr[rim]
-            # clamp: floating-point drift pushes the ratio past +-1 at branch edges
-            arg = np.clip((zr**2 + q**2 - radius**2) / (2.0 * q * zr), -1.0, 1.0)
-            out[rim] = 2.0 * zr / (np.pi * radius**2) * np.arccos(arg)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(out)
-    return out
-
-
-def pdf_interferer_distance(w, v: float, t: float):
-    """Density of the distance between two points at offsets ``v`` and ``t`` with uniform bearing.
-
-    Supported on the open interval ``(|v - t|, v + t)``; diverges (integrably)
-    at both endpoints, which are reported as 0 and must not be used as
-    quadrature abscissae -- integrate in the bearing angle instead
-    (:func:`sample_interferer_distance` documents the substitution).
-    """
-    if not (v > 0 and t > 0):
-        raise ValueError(
-            f"offsets must be positive (the law degenerates to a point mass otherwise), "
-            f"got v={v}, t={t}"
-        )
-    w_arr = _as_float_array(w, "w")
-    out = np.zeros_like(w_arr)
-    inside = (w_arr > abs(v - t)) & (w_arr < v + t)
-    if np.any(inside):
-        wi = w_arr[inside]
-        cos_ang = np.clip((v**2 + t**2 - wi**2) / (2.0 * v * t), -1.0, 1.0)
-        sin_ang = np.sqrt(np.maximum(1.0 - cos_ang**2, 0.0))
-        with np.errstate(divide="ignore"):
-            out[inside] = wi / (np.pi * v * t * sin_ang)
-    if np.isscalar(w) or np.ndim(w) == 0:
-        return float(out)
-    return out
-
-
-def sample_interferer_distance(v: float, t: float, rng: np.random.Generator, size=None):
-    """Draw distances between points at offsets ``v`` and ``t`` with uniform bearing.
-
-    Uses ``w = sqrt(v**2 + t**2 - 2*v*t*cos(phi))`` with ``phi`` uniform on
-    ``(0, pi)``; the angle variable carries the whole law, so no rejection or
-    endpoint handling is needed.
-    """
-    if not (v > 0 and t > 0):
-        raise ValueError(f"offsets must be positive, got v={v}, t={t}")
-    phi = np.pi * rng.random(size)
-    w = np.sqrt(v**2 + t**2 - 2.0 * v * t * np.cos(phi))
-    if size is None:
-        return float(w)
-    return w
-
-
-def sample_link_distance(q: float, cfg: DiskConfig, rng: np.random.Generator, size=None):
-    """Draw distances from a point at offset ``q`` to uniform disk points."""
-    radius = cfg.radius
-    if not 0 <= q <= radius:
-        raise ValueError(f"offset q must lie in [0, R={radius}], got {q}")
-    pts = sample_uniform_disk(cfg, rng, size=size if size is not None else 1)
-    d = np.hypot(pts[..., 0] - q, pts[..., 1])
-    if size is None:
-        return float(d[0])
-    return d
-
-
 def link_distance_nodes(q: float, cfg: DiskConfig, nodes: int):
     """Quadrature nodes and weights integrating against the link-distance law.
 
-    Returns ``(z, wts)`` with ``sum(wts * g(z))`` approximating
-    ``E[g(Z)]`` for ``Z ~ pdf_link_distance(.|q)``.  The near branch is a
-    plain Gauss-Legendre panel on ``[0, R-q]``; the rim branch is mapped to
-    the subtended-angle variable, which removes the square-root cusp at
-    ``z = R - q``, and is split at the right angle where the integrand peaks
-    as ``q`` approaches ``R``.  Each panel gets ``nodes`` points.
+    Returns ``(z, wts)`` with ``sum(wts * g(z))`` approximating ``E[g(Z)]``
+    for ``Z`` the distance from a point at offset ``q`` to a uniform disk
+    point.  The near branch is a plain Gauss-Legendre panel on ``[0, R-q]``;
+    the rim branch is mapped to the subtended-angle variable, which removes
+    the square-root cusp at ``z = R - q``, and is split at the right angle
+    where the integrand peaks as ``q`` approaches ``R``.  Each panel gets
+    ``nodes`` points.
     """
     radius = cfg.radius
     if not 0 <= q <= radius:

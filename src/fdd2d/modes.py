@@ -1,21 +1,19 @@
-"""Closed-form operating-mode probabilities and the concurrent-transmitter PMF."""
+"""Closed-form operating-mode probabilities of a uniformly chosen user.
+
+Their transmit probability ``p_tx`` sets the model's Binomial(N, p_tx) count
+of concurrent transmitters, which the analytic success curve sums in closed
+form.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .popularity import PopularityProfile
 
-__all__ = [
-    "ModeProbabilities",
-    "TransmitterCountPmf",
-    "compute_mode_probabilities",
-    "transmit_probability",
-    "transmitter_count_pmf",
-]
+__all__ = ["ModeProbabilities", "compute_mode_probabilities"]
 
 MODE_FIELDS = ("p_sr", "p_sr_hdtx", "p_fdtr", "p_bfd", "p_tnfd", "p_hdrx", "p_hdtx", "p_ho")
 
@@ -44,17 +42,6 @@ class ModeProbabilities:
         d = {name: getattr(self, name) for name in MODE_FIELDS}
         d["p_tx"] = self.p_tx
         return d
-
-
-@dataclass(frozen=True)
-class TransmitterCountPmf:
-    """Binomial PMF of the number of users transmitting concurrently."""
-
-    n_users: int
-    pmf: np.ndarray  # length n_users + 1, pmf[k] = P(k transmitters)
-
-    def __post_init__(self):
-        self.pmf.setflags(write=False)
 
 
 def _undemanded(rho: np.ndarray, n_users: int) -> np.ndarray:
@@ -112,27 +99,3 @@ def compute_mode_probabilities(profile: PopularityProfile, n_users: int) -> Mode
         p_tx=_snap_unit(p_tx),
         n_users=int(n_users),
     )
-
-
-def transmit_probability(profile: PopularityProfile, n_users: int) -> float:
-    """Probability that a uniformly chosen user transmits (serves at least one request)."""
-    if not 1 <= n_users <= profile.m:
-        raise ValueError(
-            f"n_users must be in [1, m={profile.m}] (distinct cached contents), got {n_users}"
-        )
-    rho = profile.rho[:n_users]
-    return _snap_unit(float(np.mean(1.0 - _undemanded(rho, n_users))))
-
-
-def transmitter_count_pmf(p_tx: float, n_users: int) -> TransmitterCountPmf:
-    """PMF of the number of concurrent transmitters among ``n_users``.
-
-    Each user transmits independently with probability ``p_tx``, so the
-    count is Binomial(n_users, p_tx).
-    """
-    if not 0.0 <= p_tx <= 1.0:
-        raise ValueError(f"p_tx must be a probability, got {p_tx}")
-    if n_users < 1:
-        raise ValueError(f"n_users must be at least 1, got {n_users}")
-    pmf = stats.binom.pmf(np.arange(n_users + 1), n_users, p_tx)
-    return TransmitterCountPmf(n_users=int(n_users), pmf=pmf)

@@ -1,4 +1,7 @@
-"""Deterministic Gauss-Legendre quadrature with per-level node counts and doubling refinement."""
+"""Gauss-Legendre panel rules, per-level node counts of the nested transform, and doubling refinement.
+
+Nodes and weights come from :func:`numpy.polynomial.legendre.leggauss`.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +12,12 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "DEFAULT_NODES",
-    "QuadratureError",
     "QuadratureSpec",
     "QuadratureWarning",
     "gauss_legendre",
-    "integrate_1d",
     "panel_rule",
     "refine_until",
 ]
@@ -25,10 +25,6 @@ __all__ = [
 # Levels of the nested interference integral: receiver offset v, interferer
 # offset t, serving distance z0, interferer bearing angle, interferer link zi.
 DEFAULT_NODES = {"v": 24, "t": 24, "z0": 24, "angle": 32, "zi": 24}
-
-
-class QuadratureError(ValueError):
-    """Integrand returned a non-finite value."""
 
 
 class QuadratureWarning(UserWarning):
@@ -83,7 +79,7 @@ class QuadratureSpec:
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1] (read-only arrays)."""
-    x, w = roots_legendre(int(n))
+    x, w = np.polynomial.legendre.leggauss(int(n))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -94,31 +90,6 @@ def panel_rule(a: float, b: float, n: int):
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
-
-
-def integrate_1d(f: Callable, a: float, b: float, nodes: int) -> float:
-    """Gauss-Legendre estimate of the integral of ``f`` over [a, b].
-
-    ``f`` is called once with the full node array and must evaluate
-    elementwise (a scalar return is broadcast).  Exact for polynomials of
-    degree up to ``2*nodes - 1``.
-
-    Raises
-    ------
-    QuadratureError
-        If ``f`` returns a non-finite value; the message names the abscissa.
-    """
-    if a > b:
-        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
-    if a == b:
-        return 0.0
-    x, w = panel_rule(a, b, nodes)
-    y = np.broadcast_to(np.asarray(f(x), dtype=np.float64), x.shape)
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise QuadratureError(f"integrand returned {y[bad]} at x={x[bad]!r}")
-    return float(np.dot(w, y))
 
 
 def refine_until(f_estimate: Callable[[QuadratureSpec], float], spec: QuadratureSpec, levels=None):

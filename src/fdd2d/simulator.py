@@ -18,16 +18,12 @@ __all__ = [
     "ModeFrequencyReport",
     "NetworkRealization",
     "SimConfig",
-    "TrialResult",
     "classify_modes",
     "link_sir",
     "run_experiment",
-    "run_trial",
     "sample_realization",
     "trial_success",
 ]
-
-EVALUATE_MODES = ("all-users", "one-random-user")
 
 _TRIALS_PER_BLOCK = 1024
 
@@ -51,12 +47,11 @@ FD_MODES = (Mode.BFD, Mode.TNFD)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count, seeding, and evaluation options of a simulation run."""
+    """Trial count, seeding, and self-interference accounting of a simulation run."""
 
     trials: int = 10_000
     master_seed: int = 0
     si_model: str = SI_PER_INTERFERER
-    evaluate: str = "all-users"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -65,8 +60,6 @@ class SimConfig:
             raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed}")
         if self.si_model not in SI_MODELS:
             raise ValueError(f"si_model must be one of {SI_MODELS}, got {self.si_model!r}")
-        if self.evaluate not in EVALUATE_MODES:
-            raise ValueError(f"evaluate must be one of {EVALUATE_MODES}, got {self.evaluate!r}")
 
 
 @dataclass
@@ -89,12 +82,6 @@ class NetworkRealization:
     serve_target: np.ndarray
     server_of: np.ndarray
     fading: np.ndarray
-
-
-@dataclass
-class TrialResult:
-    success: np.ndarray  # per-user success indicator at the evaluated threshold
-    realization: NetworkRealization
 
 
 @dataclass
@@ -262,15 +249,6 @@ def trial_success(real: NetworkRealization, channel, thetas, si_model: str = SI_
     return cache_ok[None, :] | (sir[None, :] >= thetas[:, None])
 
 
-def run_trial(cfg: ModelConfig, sim: SimConfig, theta: float, rng: np.random.Generator) -> TrialResult:
-    """Sample one network and evaluate every user's success at one threshold."""
-    if not theta > 0:
-        raise ValueError(f"SIR threshold must be positive, got theta={theta}")
-    real = sample_realization(cfg, rng)
-    ok = trial_success(real, cfg.channel, theta, sim.si_model)[0]
-    return TrialResult(success=ok, realization=real)
-
-
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
 
@@ -280,26 +258,15 @@ def _block_stats(args):
     n = cfg.n_users
     succ = np.zeros(len(thetas), dtype=np.int64)
     cache_succ = 0
-    samples = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(n + 1, dtype=np.int64)
     for trial in range(start, stop):
-        rng = _trial_rng(sim.master_seed, trial)
-        real = sample_realization(cfg, rng)
+        real = sample_realization(cfg, _trial_rng(sim.master_seed, trial))
         mode_counts += np.bincount(real.modes, minlength=len(Mode))
         tx_hist[int(real.transmitters.sum())] += 1
-        ok = trial_success(real, cfg.channel, thetas, sim.si_model)
-        cache_ok = np.isin(real.modes, CACHE_MODES)
-        if sim.evaluate == "one-random-user":
-            u = int(rng.integers(n))
-            succ += ok[:, u]
-            cache_succ += int(cache_ok[u])
-            samples += 1
-        else:
-            succ += ok.sum(axis=1)
-            cache_succ += int(cache_ok.sum())
-            samples += n
-    return succ, cache_succ, samples, mode_counts, tx_hist
+        succ += trial_success(real, cfg.channel, thetas, sim.si_model).sum(axis=1)
+        cache_succ += int(np.isin(real.modes, CACHE_MODES).sum())
+    return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

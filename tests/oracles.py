@@ -1,12 +1,188 @@
-"""Independent Monte Carlo oracles used to cross-check the deterministic pipeline.
+"""Reference routes used to cross-check the package.
 
-Everything here samples raw geometry directly (polar disk draws, explicit
-angle draws) instead of reusing the package's quadrature or node helpers, so
-agreement between these estimates and the library is a genuine dual-route
-check.
+- Reference densities, samplers and integrator: the conditional link and
+  interferer distance densities, uniform-disk and distance samplers, and a
+  1-D Gauss-Legendre integrator on scipy's Legendre roots.
+- Monte Carlo oracles of the interference transform and of the SIR success
+  event, and the two-point distance CDF of the disk.
+- :func:`run_trial`, one simulated network evaluated at one threshold.
+
+The samplers and Monte Carlo oracles draw raw geometry directly (polar disk
+draws, explicit angle draws), and the integrator does not use the package's
+quadrature or node helpers, so agreement between these estimates and the
+library is a genuine dual-route check.
 """
 
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
+
 import numpy as np
+from scipy.special import roots_legendre
+
+from fdd2d import NetworkRealization, sample_realization, trial_success
+
+
+class QuadratureError(ValueError):
+    """Integrand returned a non-finite value."""
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per node count."""
+    return roots_legendre(nodes)
+
+
+def integrate_1d(f: Callable, a: float, b: float, nodes: int) -> float:
+    """Gauss-Legendre estimate of the integral of ``f`` over [a, b].
+
+    ``f`` is called once with the full node array and must evaluate
+    elementwise (a scalar return is broadcast).  Exact for polynomials of
+    degree up to ``2*nodes - 1``.
+
+    Raises
+    ------
+    QuadratureError
+        If ``f`` returns a non-finite value; the message names the abscissa.
+    """
+    if a > b:
+        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
+    if a == b:
+        return 0.0
+    xi, wts = _gauss_legendre(nodes)
+    half = 0.5 * (b - a)
+    x = half * xi + 0.5 * (a + b)
+    y = np.broadcast_to(np.asarray(f(x), dtype=np.float64), x.shape)
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise QuadratureError(f"integrand returned {y[bad]} at x={x[bad]!r}")
+    return float(np.dot(half * wts, y))
+
+
+class Point2D(NamedTuple):
+    x: float
+    y: float
+
+
+def sample_uniform_disk(cfg, rng, size=None):
+    """Draw points uniformly over the disk of radius ``cfg.radius``.
+
+    Polar inversion: radius ``R*sqrt(U)``, angle ``2*pi*V``.
+
+    Returns
+    -------
+    Point2D when ``size`` is None, else an ndarray of shape ``(size, 2)``.
+    """
+    r = cfg.radius * np.sqrt(rng.random(size))
+    ang = 2.0 * np.pi * rng.random(size)
+    if size is None:
+        return Point2D(float(r * np.cos(ang)), float(r * np.sin(ang)))
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
+
+def _as_float_array(x, name):
+    arr = np.asarray(x, dtype=np.float64)
+    if np.any(arr < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return arr
+
+
+def pdf_link_distance(z, q, cfg):
+    """Density of the distance from a point at offset ``q`` to a uniform disk point.
+
+    Two branches: ``2z/R**2`` while the circle of radius ``z`` around the
+    point stays inside the disk (``z <= R - q``), and the arccos-clipped form
+    on ``R - q < z <= R + q``; zero beyond.  ``q`` is the distance of the
+    reference point from the disk center, ``0 <= q <= R``.
+    """
+    radius = cfg.radius
+    if not 0 <= q <= radius:
+        raise ValueError(f"offset q must lie in [0, R={radius}], got {q}")
+    z_arr = _as_float_array(z, "z")
+    out = np.zeros_like(z_arr)
+    near = z_arr <= radius - q
+    out[near] = 2.0 * z_arr[near] / radius**2
+    if q > 0:
+        rim = (z_arr > radius - q) & (z_arr <= radius + q)
+        if np.any(rim):
+            zr = z_arr[rim]
+            # clamp: floating-point drift pushes the ratio past +-1 at branch edges
+            arg = np.clip((zr**2 + q**2 - radius**2) / (2.0 * q * zr), -1.0, 1.0)
+            out[rim] = 2.0 * zr / (np.pi * radius**2) * np.arccos(arg)
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return float(out)
+    return out
+
+
+def pdf_interferer_distance(w, v, t):
+    """Density of the distance between two points at offsets ``v`` and ``t`` with uniform bearing.
+
+    Supported on the open interval ``(|v - t|, v + t)``; diverges (integrably)
+    at both endpoints, which are reported as 0 and must not be used as
+    quadrature abscissae -- integrate in the bearing angle instead
+    (:func:`sample_interferer_distance` documents the substitution).
+    """
+    if not (v > 0 and t > 0):
+        raise ValueError(
+            f"offsets must be positive (the law degenerates to a point mass otherwise), "
+            f"got v={v}, t={t}"
+        )
+    w_arr = _as_float_array(w, "w")
+    out = np.zeros_like(w_arr)
+    inside = (w_arr > abs(v - t)) & (w_arr < v + t)
+    if np.any(inside):
+        wi = w_arr[inside]
+        cos_ang = np.clip((v**2 + t**2 - wi**2) / (2.0 * v * t), -1.0, 1.0)
+        sin_ang = np.sqrt(np.maximum(1.0 - cos_ang**2, 0.0))
+        with np.errstate(divide="ignore"):
+            out[inside] = wi / (np.pi * v * t * sin_ang)
+    if np.isscalar(w) or np.ndim(w) == 0:
+        return float(out)
+    return out
+
+
+def sample_interferer_distance(v, t, rng, size=None):
+    """Draw distances between points at offsets ``v`` and ``t`` with uniform bearing.
+
+    Uses ``w = sqrt(v**2 + t**2 - 2*v*t*cos(phi))`` with ``phi`` uniform on
+    ``(0, pi)``; the angle variable carries the whole law, so no rejection or
+    endpoint handling is needed.
+    """
+    if not (v > 0 and t > 0):
+        raise ValueError(f"offsets must be positive, got v={v}, t={t}")
+    phi = np.pi * rng.random(size)
+    w = np.sqrt(v**2 + t**2 - 2.0 * v * t * np.cos(phi))
+    if size is None:
+        return float(w)
+    return w
+
+
+def sample_link_distance(q, cfg, rng, size=None):
+    """Draw distances from a point at offset ``q`` to uniform disk points."""
+    radius = cfg.radius
+    if not 0 <= q <= radius:
+        raise ValueError(f"offset q must lie in [0, R={radius}], got {q}")
+    pts = sample_uniform_disk(cfg, rng, size=size if size is not None else 1)
+    d = np.hypot(pts[..., 0] - q, pts[..., 1])
+    if size is None:
+        return float(d[0])
+    return d
+
+
+@dataclass
+class TrialResult:
+    success: np.ndarray  # per-user success indicator at the evaluated threshold
+    realization: NetworkRealization
+
+
+def run_trial(cfg, sim, theta, rng) -> TrialResult:
+    """Sample one network and evaluate every user's success at one threshold."""
+    if not theta > 0:
+        raise ValueError(f"SIR threshold must be positive, got theta={theta}")
+    real = sample_realization(cfg, rng)
+    ok = trial_success(real, cfg.channel, theta, sim.si_model)[0]
+    return TrialResult(success=ok, realization=real)
 
 
 def disk_offsets(rng, radius, size):
@@ -101,6 +277,10 @@ def mc_sir_success(theta, n_users, p_tx, p_hdrx, p_fdtr, radius, alpha, beta,
     return mean, np.sqrt(mean * (1.0 - mean) / n_samples)
 
 
+# distances per (d, q) block: 4096 x 96 float64 arrays are about 3 MB each
+_CDF_CHUNK = 4096
+
+
 def marginal_link_cdf(d, radius, q_nodes=96):
     """CDF of the distance between two independent uniform disk points.
 
@@ -108,19 +288,17 @@ def marginal_link_cdf(d, radius, q_nodes=96):
     first point: the inner integral is the lens-overlap area of a circle of
     radius ``d`` around the point with the deployment disk, the outer
     integral runs over the offset density ``2q/R**2`` (Gauss-Legendre,
-    split at the branch point ``q = R - d``).
+    split at the branch point ``q = R - d``).  Evaluated on (d, q) arrays of
+    at most ``_CDF_CHUNK`` distances at a time, which bounds the memory.
     """
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
     xi, wts = np.polynomial.legendre.leggauss(q_nodes)
-    out = np.empty_like(d)
-    for i, di in enumerate(d):
-        if di <= 0:
-            out[i] = 0.0
-            continue
-        if di >= 2 * radius:
-            out[i] = 1.0
-            continue
-        split = max(radius - di, 0.0)
+    out = np.where(d <= 0, 0.0, 1.0)
+    inside = np.flatnonzero((d > 0) & (d < 2 * radius))
+    for start in range(0, inside.size, _CDF_CHUNK):
+        idx = inside[start:start + _CDF_CHUNK]
+        di = d[idx, None]
+        split = np.maximum(radius - di, 0.0)
         # offsets q <= R - d: the circle around the point lies inside the disk
         near_mass = (di**2 / radius**2) * (split**2 / radius**2)
         half = 0.5 * (radius - split)
@@ -137,5 +315,5 @@ def marginal_link_cdf(d, radius, q_nodes=96):
                 )
             )
         )
-        out[i] = near_mass + np.dot(w, lens / (np.pi * radius**2))
+        out[idx] = near_mass[:, 0] + np.sum(w * lens / (np.pi * radius**2), axis=1)
     return out

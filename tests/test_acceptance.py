@@ -24,17 +24,14 @@ from fdd2d import (
     build_zipf,
     classify_modes,
     compute_mode_probabilities,
-    integrate_1d,
     laplace_interference,
     link_distance_nodes,
-    pdf_interferer_distance,
-    pdf_link_distance,
     refine_until,
     run_experiment,
     success_curve,
     success_probability_cache,
 )
-from oracles import mc_laplace
+from oracles import integrate_1d, mc_laplace, pdf_interferer_distance, pdf_link_distance
 
 DISK30 = DiskConfig(30.0)
 CHANNEL = ChannelConfig(alpha=4.0, beta=1e-5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from fdd2d import (
     FDTR,
@@ -16,7 +17,6 @@ from fdd2d import (
     success_curve,
     success_probability,
     success_probability_cache,
-    transmitter_count_pmf,
 )
 from oracles import mc_laplace, mc_sir_success
 
@@ -171,7 +171,7 @@ def test_high_threshold_approaches_interference_free_floor():
     # L -> 0 for every multi-transmitter term, leaving the cache part plus the
     # lone-transmitter binomial mass (whose transform is identically 1)
     mp = compute_mode_probabilities(CFG.profile, CFG.n_users)
-    pmf = transmitter_count_pmf(mp.p_tx, CFG.n_users).pmf
+    pmf = stats.binom.pmf(np.arange(CFG.n_users + 1), CFG.n_users, mp.p_tx)
     floor = success_probability_cache(CFG) + pmf[1] * (mp.p_hdrx + mp.p_fdtr)
     result = success_probability(CFG, 1e9)
     assert result.p_total == pytest.approx(floor, abs=1e-3)
@@ -219,7 +219,7 @@ def test_wide_disk_sweep_is_monotone():
 def _per_count_mixture(cfg, thetas, si_model):
     """Reference SIR part: sum over every transmitter count n of pmf[n] times the per-count transforms."""
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-    pmf = transmitter_count_pmf(mp.p_tx, cfg.n_users).pmf
+    pmf = stats.binom.pmf(np.arange(cfg.n_users + 1), cfg.n_users, mp.p_tx)
     return np.array([
         sum(
             pmf[n] * (
@@ -273,6 +273,18 @@ def test_count_sum_matches_binomial_polynomial():
     x = np.array([0.0, 5e-324, 1e-200, 1e-3, 0.5, 1.0])
     for n_users in (1, 2, 7):
         for p_tx in (0.0, 0.3, 1.0):
-            pmf = transmitter_count_pmf(p_tx, n_users).pmf
+            pmf = stats.binom.pmf(np.arange(n_users + 1), n_users, p_tx)
             expected = sum(pmf[n] * x ** (n - 1) for n in range(1, n_users + 1))
             np.testing.assert_allclose(_count_sum(x, p_tx, n_users), expected, rtol=1e-14, atol=0)
+
+
+def test_count_sum_stable_for_large_n():
+    from fdd2d.analytic import _count_sum
+
+    # nonnegative coefficients: G is finite, nonnegative and nondecreasing on
+    # [0, 1], and G(1) = 1 - pmf[0]
+    x = np.concatenate([[0.0], np.logspace(-300, 0, 601)])
+    g = _count_sum(x, 0.3456, 10_000)
+    assert np.all(np.isfinite(g)) and np.all(g >= 0)
+    assert np.all(np.diff(g) >= 0)
+    assert abs(g[-1] - 1.0) < 1e-10

@@ -105,6 +105,45 @@ def test_config_file_sweep_is_replaced_by_flag(tmp_path):
     assert parse_args(["--config", str(cfg), "--sweep", "beta=0.1"]).sweep == [("beta", [0.1])]
 
 
+def test_config_file_sweep_lines_add_up(tmp_path, capsys):
+    cfg = tmp_path / "sweeps.cfg"
+    cfg.write_text("n_users = 5\nsweep = n_users=5,10\nsweep = beta=0.1\n")
+    assert parse_args(["--config", str(cfg)]).sweep == [("n_users", [5, 10]), ("beta", [0.1])]
+    cfg.write_text("n_users = 5\nsweep = beta=0.1\nsweep = beta=0.2\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--sweep beta" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_users = 5\nradius = 20\n# wider\nradius = 40\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'radius'" in err and "line 2" in err and "line 4" in err
+
+
+def test_repeated_quad_nodes_level_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--n-users", "5", "--quad-nodes", "v=30,v=40"])
+    assert exc.value.code == 2
+    assert "'v'" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(REPO_ENV)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, fdd2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 def test_invalid_worker_env_exits_2(threads, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FD_D2D_THREADS", threads)

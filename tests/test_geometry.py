@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from fdd2d import (
-    DiskConfig,
+from fdd2d import DiskConfig, link_distance_nodes
+from oracles import (
     integrate_1d,
-    link_distance_nodes,
+    marginal_link_cdf,
     pdf_interferer_distance,
     pdf_link_distance,
     sample_interferer_distance,
     sample_link_distance,
     sample_uniform_disk,
 )
-from oracles import marginal_link_cdf
 
 DISK = DiskConfig(30.0)
 

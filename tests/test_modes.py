@@ -1,16 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdd2d import (
-    build_zipf,
-    compute_mode_probabilities,
-    transmit_probability,
-    transmitter_count_pmf,
-)
+from fdd2d import build_zipf, compute_mode_probabilities
 
 IDENTITY_TOL = 1e-12
 
@@ -42,8 +35,6 @@ def test_rejects_more_users_than_contents():
     profile = build_zipf(5, 1.0)
     with pytest.raises(ValueError):
         compute_mode_probabilities(profile, 6)
-    with pytest.raises(ValueError):
-        transmit_probability(profile, 6)
 
 
 def _check_identities(mp, p_hit):
@@ -70,45 +61,27 @@ def test_identities_property(m, gamma_r, n_frac):
     _check_identities(mp, profile.p_hit_prefix[n_users - 1])
 
 
+def test_pmf_hand_binomial():
+    from fdd2d.analytic import _count_sum
+
+    # the transmitter count is Binomial(2, 1/2): pmf = (1/4, 1/2, 1/4), so the
+    # count sum G(x) = sum_{n>=1} pmf[n] x^(n-1) is 1/2 + x/4, and the pmf
+    # reads back as (1 - G(1), G(0), G(1) - G(0))
+    x = np.array([0.0, 5e-324, 1e-200, 1e-3, 0.5, 1.0])
+    np.testing.assert_allclose(_count_sum(x, 0.5, 2), 0.5 + 0.25 * x, rtol=1e-15, atol=0)
+    g0, g1 = _count_sum(np.array([0.0, 1.0]), 0.5, 2)
+    np.testing.assert_allclose([1.0 - g1, g0, g1 - g0], [0.25, 0.5, 0.25], atol=1e-15)
+
+
 def test_transmit_probability_hand_values():
-    assert transmit_probability(build_zipf(7, 2.0), 1) == 0.0
-    assert transmit_probability(build_zipf(2, 0.0), 2) == pytest.approx(0.5, abs=IDENTITY_TOL)
+    assert compute_mode_probabilities(build_zipf(7, 2.0), 1).p_tx == 0.0
+    assert compute_mode_probabilities(build_zipf(2, 0.0), 2).p_tx == pytest.approx(0.5, abs=IDENTITY_TOL)
 
 
 def test_transmit_probability_consistency():
     profile = build_zipf(1000, 1.2)
     mp = compute_mode_probabilities(profile, 20)
-    p_tx = transmit_probability(profile, 20)
+    # by definition: some other user requests the content a user caches
+    p_tx = float(np.mean(1.0 - (1.0 - profile.rho[:20]) ** 19))
     assert p_tx == pytest.approx(mp.p_sr_hdtx + mp.p_hdtx + mp.p_fdtr, abs=IDENTITY_TOL)
     assert p_tx == pytest.approx(mp.p_tx, abs=IDENTITY_TOL)
-
-
-def test_pmf_degenerate_endpoints():
-    np.testing.assert_array_equal(transmitter_count_pmf(0.0, 5).pmf, [1, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(transmitter_count_pmf(1.0, 3).pmf, [0, 0, 0, 1])
-
-
-def test_pmf_hand_binomial():
-    np.testing.assert_allclose(transmitter_count_pmf(0.5, 2).pmf, [0.25, 0.5, 0.25], atol=1e-15)
-
-
-def test_pmf_against_direct_combinatorics():
-    p = 0.37
-    n = 12
-    pmf = transmitter_count_pmf(p, n).pmf
-    for k in range(n + 1):
-        direct = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-        assert pmf[k] == pytest.approx(direct, rel=1e-12)
-
-
-def test_pmf_stable_for_large_n():
-    pmf = transmitter_count_pmf(0.3456, 10_000).pmf
-    assert np.all(pmf >= 0)
-    assert abs(pmf.sum() - 1.0) < 1e-10
-
-
-def test_pmf_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        transmitter_count_pmf(-0.1, 5)
-    with pytest.raises(ValueError):
-        transmitter_count_pmf(1.1, 5)

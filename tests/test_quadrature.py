@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from fdd2d import (
-    DiskConfig,
-    QuadratureError,
-    QuadratureSpec,
-    QuadratureWarning,
-    integrate_1d,
-    pdf_link_distance,
-    refine_until,
-)
+from fdd2d import DiskConfig, QuadratureSpec, QuadratureWarning, refine_until
+from fdd2d.quadrature import gauss_legendre
+from oracles import QuadratureError, _gauss_legendre, integrate_1d, pdf_link_distance
 
 DISK = DiskConfig(30.0)
 
@@ -45,6 +39,15 @@ def test_non_finite_integrand_names_abscissa():
         integrate_1d(f, 0.0, 1.0, 8)
     assert "inf" in str(err.value)
     assert "x=" in str(err.value)
+
+
+def test_package_rule_matches_scipy_rule():
+    # the package's numpy rule against the oracle's scipy rule
+    for n in (4, 24, 32, 48, 64):
+        x, w = gauss_legendre(n)
+        x_ref, w_ref = _gauss_legendre(n)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0)
 
 
 def test_spec_validation():
