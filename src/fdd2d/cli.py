@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"sweep one of {SWEEPABLE}; repeat the flag to sweep several (cartesian product)",
     )
     parser.add_argument("--trials", default="10000", help="Monte Carlo trials (default %(default)s)")
-    parser.add_argument("--seed", default="0", help="master seed for the simulator (default %(default)s)")
+    parser.add_argument("--seed", default="0", help="master seed for the simulator, an integer in [0, 2**64) (default %(default)s)")
     parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, default=SI_PER_INTERFERER, help="self-interference accounting (default %(default)s)")
     parser.add_argument(
         "--quad-nodes",
@@ -291,6 +291,8 @@ def parse_args(argv=None) -> ExperimentSpec:
         error(f"--beta must lie in [0, 1], got {beta}")
     trials = _parse_int(args.trials, "--trials", error, minimum=1)
     seed = _parse_int(args.seed, "--seed", error, minimum=0)
+    if seed >= 2**64:
+        error(f"--seed must be below 2**64, got {seed}")
 
     theta_grid = _parse_theta_grid(args.theta_db, error)
 

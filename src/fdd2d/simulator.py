@@ -1,4 +1,4 @@
-"""Monte Carlo ground truth: network drops, mode classification, per-trial SIR success."""
+"""Monte Carlo ground truth: network drops, mode classification and SIR success, a block of trials at a time."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -16,16 +16,21 @@ from .popularity import sample_request
 __all__ = [
     "Mode",
     "ModeFrequencyReport",
-    "NetworkRealization",
     "SimConfig",
     "classify_modes",
-    "link_sir",
     "run_experiment",
-    "sample_realization",
-    "trial_success",
 ]
 
+# Trials per pool task.
 _TRIALS_PER_BLOCK = 1024
+# Memory of a kernel block.  A block runs at most _BLOCK_TRIALS trials, each
+# with its own generator and per-user arrays, and, beyond one trial, no more
+# than keep a float64 array of (transmitter rows, n_users) within
+# _BLOCK_BYTES even if every user transmits.  Fading is drawn in chunks of
+# _BLOCK_BYTES and only the transmitter rows are kept, so a block holds a few
+# arrays of its transmitter rows, not the full fading matrix.
+_BLOCK_BYTES = 512 << 10
+_BLOCK_TRIALS = 128
 
 
 class Mode(IntEnum):
@@ -44,6 +49,11 @@ CACHE_MODES = (Mode.SR, Mode.SR_HDTX)
 RECEIVING_MODES = (Mode.BFD, Mode.TNFD, Mode.HDRX)
 FD_MODES = (Mode.BFD, Mode.TNFD)
 
+# Membership tables indexed by Mode value.
+_IS_CACHE = np.array([mode in CACHE_MODES for mode in Mode])
+_IS_RECEIVING = np.array([mode in RECEIVING_MODES for mode in Mode])
+_IS_FD = np.array([mode in FD_MODES for mode in Mode])
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -60,28 +70,6 @@ class SimConfig:
             raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed}")
         if self.si_model not in SI_MODELS:
             raise ValueError(f"si_model must be one of {SI_MODELS}, got {self.si_model!r}")
-
-
-@dataclass
-class NetworkRealization:
-    """One sampled network: geometry, requests, modes, link structure, fading.
-
-    User ``k`` (0-based) caches content ``k + 1``; ``requests`` holds 1-based
-    content indices.  ``serve_target[k]`` is the receiver the transmitter
-    ``k`` power-controls toward (-1 for non-transmitters); ``server_of[k]``
-    is the user caching ``k``'s requested content (-1 when the request is not
-    cached by another user).  ``fading[i, j]`` is the unit-mean exponential
-    gain of the directed link from user ``i`` to user ``j``; directions are
-    drawn independently, so bi-directional pairs see independent gains.
-    """
-
-    positions: np.ndarray
-    requests: np.ndarray
-    modes: np.ndarray
-    transmitters: np.ndarray
-    serve_target: np.ndarray
-    server_of: np.ndarray
-    fading: np.ndarray
 
 
 @dataclass
@@ -151,121 +139,143 @@ def classify_modes(requests, n_users: int):
     return modes, transmitters
 
 
-def sample_realization(cfg: ModelConfig, rng: np.random.Generator) -> NetworkRealization:
-    """Draw one full network: positions, requests, fading, and link structure.
-
-    The draw order (positions, requests, fading, serve-target picks) is fixed
-    so a given generator state always yields the same realization.
-    """
-    n = cfg.n_users
-    radius = cfg.disk.radius
-    radii = radius * np.sqrt(rng.random(n))
-    angles = 2.0 * np.pi * rng.random(n)
-    positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    requests = sample_request(cfg.profile, rng, size=n)
-    fading = rng.standard_exponential((n, n))
-    picks = rng.random(n)
-
-    modes, transmitters = classify_modes(requests, n)
-    r0 = requests - 1
-    users = np.arange(n)
-    server_of = np.where((r0 < n) & (r0 != users), r0, -1)
-    serve_target = np.full(n, -1, dtype=np.int64)
-    for mu in np.flatnonzero(transmitters):
-        requesters = np.flatnonzero(r0 == mu)
-        requesters = requesters[requesters != mu]
-        serve_target[mu] = requesters[min(int(picks[mu] * requesters.size), requesters.size - 1)]
-    return NetworkRealization(
-        positions=positions,
-        requests=requests,
-        modes=modes,
-        transmitters=transmitters,
-        serve_target=serve_target,
-        server_of=server_of,
-        fading=fading,
-    )
-
-
-def link_sir(real: NetworkRealization, channel, si_model: str = SI_PER_INTERFERER) -> np.ndarray:
-    """SIR of every receiving user; NaN for non-receivers, inf when nothing interferes.
-
-    Each transmitter inverts the path loss toward its chosen target, so it
-    contributes ``fading * Z**alpha * W**-alpha`` at other receivers.  The
-    evaluated receiver's own server is taken to power-control toward it
-    (unit-mean numerator), and full-duplex receivers add the residual
-    self-interference ``beta * Z0**alpha`` -- once per interferer under the
-    ``per-interferer`` accounting, once in total under ``single``.
-    """
-    if si_model not in SI_MODELS:
-        raise ValueError(f"si_model must be one of {SI_MODELS}, got {si_model!r}")
-    n = real.positions.shape[0]
-    sir = np.full(n, np.nan)
-    receiving = np.isin(real.modes, RECEIVING_MODES)
-    tx_idx = np.flatnonzero(real.transmitters)
-    if not receiving.any():
-        return sir
-    rec_idx = np.flatnonzero(receiving)
-    pos = real.positions
-    alpha = channel.alpha
-
-    targets = real.serve_target[tx_idx]
-    z_pow = np.hypot(*(pos[tx_idx] - pos[targets]).T) ** alpha
-    diff = pos[tx_idx][:, None, :] - pos[None, :, :]
-    w = np.hypot(diff[..., 0], diff[..., 1])
-    self_rows = tx_idx[:, None] == np.arange(n)[None, :]
-    w_safe = np.where(self_rows, 1.0, w)
-    contrib = real.fading[tx_idx] * z_pow[:, None] * w_safe**-alpha
-    contrib[self_rows] = 0.0
-    total = contrib.sum(axis=0)
-
-    srv = real.server_of[rec_idx]
-    tx_row = np.full(n, -1, dtype=np.int64)
-    tx_row[tx_idx] = np.arange(tx_idx.size)
-    interference = np.maximum(total[rec_idx] - contrib[tx_row[srv], rec_idx], 0.0)
-
-    z0_pow = np.hypot(*(pos[srv] - pos[rec_idx]).T) ** alpha
-    n_interferers = tx_idx.size - 1 - real.transmitters[rec_idx].astype(np.int64)
-    si_count = n_interferers if si_model == SI_PER_INTERFERER else 1
-    fd = np.isin(real.modes[rec_idx], FD_MODES)
-    denom = interference + np.where(fd, channel.beta * z0_pow * si_count, 0.0)
-
-    numer = real.fading[srv, rec_idx]
-    with np.errstate(divide="ignore"):
-        sir[rec_idx] = np.where(denom > 0, numer / denom, np.inf)
-    return sir
-
-
-def trial_success(real: NetworkRealization, channel, thetas, si_model: str = SI_PER_INTERFERER):
-    """Per-user success indicators over a grid of thresholds, shape (n_thetas, n_users).
-
-    Users serving from their own cache succeed outright; receiving users
-    succeed when their SIR clears the threshold; transmit-only and outage
-    users fail.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    sir = link_sir(real, channel, si_model)
-    sir = np.where(np.isnan(sir), -np.inf, sir)
-    cache_ok = np.isin(real.modes, CACHE_MODES)
-    return cache_ok[None, :] | (sir[None, :] >= thetas[:, None])
-
-
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
 
 
+class _Block(NamedTuple):
+    """Per-user outcomes of a block of trials, one row per trial."""
+
+    modes: np.ndarray          # Mode values, int8
+    transmitters: np.ndarray   # users whose cached content someone else requests
+    serve_target: np.ndarray   # receiver each transmitter power-controls toward, -1 otherwise
+    sir: np.ndarray            # SIR of receiving users; NaN for others, inf when nothing interferes
+
+
+def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> _Block:
+    """Drop and evaluate the networks of trials ``[start, stop)``.
+
+    Trial ``t`` draws from its own ``SeedSequence((master_seed, t))`` stream
+    in a fixed order: radii and angles, requests, the fading matrix
+    ``fading[i, j]`` of the directed link from user ``i`` to user ``j``
+    (unit-mean exponential, row by row), then the serve-target picks.  Only
+    the rows of transmitters are kept, since only they carry signal or
+    interference.  Everything else runs once for the whole block.
+
+    User ``k`` (0-based) caches content ``k + 1``.  Each transmitter serves
+    one of the users requesting its content, picked uniformly, and inverts
+    the path loss toward it, so it contributes ``fading * Z**alpha *
+    W**-alpha`` at every other user.  A receiver's own server is taken to
+    power-control toward it (unit-mean numerator), and full-duplex receivers
+    add the residual self-interference ``beta * Z0**alpha``: once per
+    interferer under the ``per-interferer`` accounting, once in total under
+    ``single``.  A single trial is replayed as the block ``[t, t + 1)``.
+    """
+    n = cfg.n_users
+    alpha = cfg.channel.alpha
+    count = stop - start
+    rngs = [_trial_rng(sim.master_seed, t) for t in range(start, stop)]
+    u_radius = np.empty((count, n))
+    u_angle = np.empty((count, n))
+    requests = np.empty((count, n), dtype=np.int64)
+    for b, rng in enumerate(rngs):
+        rng.random(out=u_radius[b])
+        rng.random(out=u_angle[b])
+        requests[b] = sample_request(cfg.profile, rng, size=n)
+    radii = cfg.disk.radius * np.sqrt(u_radius)
+    angles = 2.0 * np.pi * u_angle
+    x = (radii * np.cos(angles)).ravel()
+    y = (radii * np.sin(angles)).ravel()
+
+    modes, transmitters = classify_modes(requests, n)
+    # Transmitter rows of the block, trial by trial and by user within a trial.
+    tx_flat = np.flatnonzero(transmitters)
+    row_trial, row_user = np.divmod(tx_flat, n)
+    tx_count = transmitters.sum(axis=1)
+    row_start = np.concatenate(([0], np.cumsum(tx_count)))
+
+    fading = np.empty((tx_flat.size, n))
+    picks = np.empty((count, n))
+    chunk = max(1, _BLOCK_BYTES // (8 * n))
+    for b, rng in enumerate(rngs):
+        first = row_start[b]
+        users = row_user[first:row_start[b + 1]]
+        for lo in range(0, n, chunk):
+            drawn = rng.standard_exponential((min(chunk, n - lo), n))
+            a, z = np.searchsorted(users, (lo, lo + chunk))
+            fading[first + a:first + z] = drawn[users[a:z] - lo]
+        rng.random(out=picks[b])
+
+    # Each transmitter's requesters in ascending user order, grouped by the
+    # flat index of the server they request from.
+    r0 = requests - 1
+    server_flat = (np.arange(count)[:, None] * n + r0).ravel()
+    requester = np.flatnonzero((r0 < n) & (r0 != np.arange(n)))
+    requester = requester[np.argsort(server_flat[requester], kind="stable")]
+    requested = server_flat[requester]
+    left = np.searchsorted(requested, tx_flat, side="left")
+    n_req = np.searchsorted(requested, tx_flat, side="right") - left
+    target = requester[left + np.minimum((picks.ravel()[tx_flat] * n_req).astype(np.int64), n_req - 1)]
+    serve_target = np.full(count * n, -1, dtype=np.int64)
+    serve_target[tx_flat] = target - row_trial * n
+
+    rec = np.flatnonzero(_IS_RECEIVING[modes.ravel()])
+    rec_trial, rec_user = np.divmod(rec, n)
+    srv = server_flat[rec]
+    srv_row = np.searchsorted(tx_flat, srv)
+    # read before the fading rows turn into interference terms in place
+    numer = fading[srv_row, rec_user]
+
+    z_pow = np.hypot(x[tx_flat] - x[target], y[tx_flat] - y[target]) ** alpha
+    # each transmitter row minus the positions of its trial's users,
+    # computed in the gathered arrays
+    w = x.reshape(count, n)[row_trial]
+    np.subtract(x[tx_flat][:, None], w, out=w)
+    dy = y.reshape(count, n)[row_trial]
+    np.subtract(y[tx_flat][:, None], dy, out=dy)
+    np.hypot(w, dy, out=w)
+    del dy
+    own = (np.arange(tx_flat.size), row_user)
+    w[own] = 1.0
+    np.power(w, -alpha, out=w)
+    contrib = fading
+    contrib *= z_pow[:, None]
+    contrib *= w
+    del w
+    contrib[own] = 0.0
+    total = np.zeros((count, n))
+    np.add.at(total, row_trial, contrib)
+
+    interference = np.maximum(total.ravel()[rec] - contrib[srv_row, rec_user], 0.0)
+    z0_pow = np.hypot(x[srv] - x[rec], y[srv] - y[rec]) ** alpha
+    n_interferers = tx_count[rec_trial] - 1 - transmitters.ravel()[rec].astype(np.int64)
+    si_count = n_interferers if sim.si_model == SI_PER_INTERFERER else 1
+    fd = _IS_FD[modes.ravel()[rec]]
+    denom = interference + np.where(fd, cfg.channel.beta * z0_pow * si_count, 0.0)
+    sir = np.full(count * n, np.nan)
+    with np.errstate(divide="ignore"):
+        sir[rec] = np.where(denom > 0, numer / denom, np.inf)
+    return _Block(modes, transmitters, serve_target.reshape(count, n), sir.reshape(count, n))
+
+
 def _block_stats(args):
+    """Integer counts over trials ``[start, stop)``, run in kernel blocks within the memory budget."""
     cfg, sim, thetas, start, stop = args
     n = cfg.n_users
+    per_block = min(_BLOCK_TRIALS, max(1, _BLOCK_BYTES // (8 * n * n)))
     succ = np.zeros(len(thetas), dtype=np.int64)
     cache_succ = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(n + 1, dtype=np.int64)
-    for trial in range(start, stop):
-        real = sample_realization(cfg, _trial_rng(sim.master_seed, trial))
-        mode_counts += np.bincount(real.modes, minlength=len(Mode))
-        tx_hist[int(real.transmitters.sum())] += 1
-        succ += trial_success(real, cfg.channel, thetas, sim.si_model).sum(axis=1)
-        cache_succ += int(np.isin(real.modes, CACHE_MODES).sum())
+    for lo in range(start, stop, per_block):
+        block = _simulate_block(cfg, sim, lo, min(stop, lo + per_block))
+        mode_counts += np.bincount(block.modes.ravel(), minlength=len(Mode))
+        tx_hist += np.bincount(block.transmitters.sum(axis=1), minlength=n + 1)
+        cache = int(_IS_CACHE[block.modes].sum())
+        # NaN marks a user without an SIR; it fails every threshold
+        sir = np.sort(block.sir[~np.isnan(block.sir)])
+        succ += cache + sir.size - np.searchsorted(sir, thetas, side="left")
+        cache_succ += cache
     return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
 
 

@@ -5,7 +5,11 @@
   1-D Gauss-Legendre integrator on scipy's Legendre roots.
 - Monte Carlo oracles of the interference transform and of the SIR success
   event, and the two-point distance CDF of the disk.
-- :func:`run_trial`, one simulated network evaluated at one threshold.
+- The per-trial network simulator that the package's block kernel is
+  checked against: :func:`sample_realization` draws one network from its
+  trial's generator, :func:`link_sir` and :func:`trial_success` evaluate
+  it, :func:`block_stats` counts over a range of trials one at a time, and
+  :func:`run_trial` evaluates one network at one threshold.
 
 The samplers and Monte Carlo oracles draw raw geometry directly (polar disk
 draws, explicit angle draws), and the integrator does not use the package's
@@ -20,7 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import roots_legendre
 
-from fdd2d import NetworkRealization, sample_realization, trial_success
+from fdd2d import SI_MODELS, SI_PER_INTERFERER, ModelConfig, Mode, classify_modes, sample_request
+from fdd2d.simulator import CACHE_MODES, FD_MODES, RECEIVING_MODES
 
 
 class QuadratureError(ValueError):
@@ -168,6 +173,152 @@ def sample_link_distance(q, cfg, rng, size=None):
     if size is None:
         return float(d[0])
     return d
+
+
+@dataclass
+class NetworkRealization:
+    """One sampled network: geometry, requests, modes, link structure, fading.
+
+    User ``k`` (0-based) caches content ``k + 1``; ``requests`` holds 1-based
+    content indices.  ``serve_target[k]`` is the receiver the transmitter
+    ``k`` power-controls toward (-1 for non-transmitters); ``server_of[k]``
+    is the user caching ``k``'s requested content (-1 when the request is not
+    cached by another user).  ``fading[i, j]`` is the unit-mean exponential
+    gain of the directed link from user ``i`` to user ``j``; directions are
+    drawn independently, so bi-directional pairs see independent gains.
+    """
+
+    positions: np.ndarray
+    requests: np.ndarray
+    modes: np.ndarray
+    transmitters: np.ndarray
+    serve_target: np.ndarray
+    server_of: np.ndarray
+    fading: np.ndarray
+
+
+def sample_realization(cfg: ModelConfig, rng: np.random.Generator) -> NetworkRealization:
+    """Draw one full network: positions, requests, fading, and link structure.
+
+    The draw order (positions, requests, fading, serve-target picks) is fixed
+    so a given generator state always yields the same realization.
+    """
+    n = cfg.n_users
+    radius = cfg.disk.radius
+    radii = radius * np.sqrt(rng.random(n))
+    angles = 2.0 * np.pi * rng.random(n)
+    positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    requests = sample_request(cfg.profile, rng, size=n)
+    fading = rng.standard_exponential((n, n))
+    picks = rng.random(n)
+
+    modes, transmitters = classify_modes(requests, n)
+    r0 = requests - 1
+    users = np.arange(n)
+    server_of = np.where((r0 < n) & (r0 != users), r0, -1)
+    serve_target = np.full(n, -1, dtype=np.int64)
+    for mu in np.flatnonzero(transmitters):
+        requesters = np.flatnonzero(r0 == mu)
+        requesters = requesters[requesters != mu]
+        serve_target[mu] = requesters[min(int(picks[mu] * requesters.size), requesters.size - 1)]
+    return NetworkRealization(
+        positions=positions,
+        requests=requests,
+        modes=modes,
+        transmitters=transmitters,
+        serve_target=serve_target,
+        server_of=server_of,
+        fading=fading,
+    )
+
+
+def link_sir(real: NetworkRealization, channel, si_model: str = SI_PER_INTERFERER) -> np.ndarray:
+    """SIR of every receiving user; NaN for non-receivers, inf when nothing interferes.
+
+    Each transmitter inverts the path loss toward its chosen target, so it
+    contributes ``fading * Z**alpha * W**-alpha`` at other receivers.  The
+    evaluated receiver's own server is taken to power-control toward it
+    (unit-mean numerator), and full-duplex receivers add the residual
+    self-interference ``beta * Z0**alpha`` -- once per interferer under the
+    ``per-interferer`` accounting, once in total under ``single``.
+    """
+    if si_model not in SI_MODELS:
+        raise ValueError(f"si_model must be one of {SI_MODELS}, got {si_model!r}")
+    n = real.positions.shape[0]
+    sir = np.full(n, np.nan)
+    receiving = np.isin(real.modes, RECEIVING_MODES)
+    tx_idx = np.flatnonzero(real.transmitters)
+    if not receiving.any():
+        return sir
+    rec_idx = np.flatnonzero(receiving)
+    pos = real.positions
+    alpha = channel.alpha
+
+    targets = real.serve_target[tx_idx]
+    z_pow = np.hypot(*(pos[tx_idx] - pos[targets]).T) ** alpha
+    diff = pos[tx_idx][:, None, :] - pos[None, :, :]
+    w = np.hypot(diff[..., 0], diff[..., 1])
+    self_rows = tx_idx[:, None] == np.arange(n)[None, :]
+    w_safe = np.where(self_rows, 1.0, w)
+    contrib = real.fading[tx_idx] * z_pow[:, None] * w_safe**-alpha
+    contrib[self_rows] = 0.0
+    total = contrib.sum(axis=0)
+
+    srv = real.server_of[rec_idx]
+    tx_row = np.full(n, -1, dtype=np.int64)
+    tx_row[tx_idx] = np.arange(tx_idx.size)
+    interference = np.maximum(total[rec_idx] - contrib[tx_row[srv], rec_idx], 0.0)
+
+    z0_pow = np.hypot(*(pos[srv] - pos[rec_idx]).T) ** alpha
+    n_interferers = tx_idx.size - 1 - real.transmitters[rec_idx].astype(np.int64)
+    si_count = n_interferers if si_model == SI_PER_INTERFERER else 1
+    fd = np.isin(real.modes[rec_idx], FD_MODES)
+    denom = interference + np.where(fd, channel.beta * z0_pow * si_count, 0.0)
+
+    numer = real.fading[srv, rec_idx]
+    with np.errstate(divide="ignore"):
+        sir[rec_idx] = np.where(denom > 0, numer / denom, np.inf)
+    return sir
+
+
+def trial_success(real: NetworkRealization, channel, thetas, si_model: str = SI_PER_INTERFERER):
+    """Per-user success indicators over a grid of thresholds, shape (n_thetas, n_users).
+
+    Users serving from their own cache succeed outright; receiving users
+    succeed when their SIR clears the threshold; transmit-only and outage
+    users fail.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    sir = link_sir(real, channel, si_model)
+    sir = np.where(np.isnan(sir), -np.inf, sir)
+    cache_ok = np.isin(real.modes, CACHE_MODES)
+    return cache_ok[None, :] | (sir[None, :] >= thetas[:, None])
+
+
+def trial_rng(master_seed, trial_index):
+    """The generator of one trial: seeded from ``(master_seed, trial_index)``."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
+
+
+def block_stats(cfg, sim, thetas, start, stop):
+    """Counts over trials ``[start, stop)``, one realization at a time.
+
+    Returns ``(successes per threshold, cache hits, user samples, mode
+    counts, transmitter-count histogram)``, the tuple the package's block
+    kernel aggregates to.
+    """
+    n = cfg.n_users
+    succ = np.zeros(len(thetas), dtype=np.int64)
+    cache_succ = 0
+    mode_counts = np.zeros(len(Mode), dtype=np.int64)
+    tx_hist = np.zeros(n + 1, dtype=np.int64)
+    for trial in range(start, stop):
+        real = sample_realization(cfg, trial_rng(sim.master_seed, trial))
+        mode_counts += np.bincount(real.modes, minlength=len(Mode))
+        tx_hist[int(real.transmitters.sum())] += 1
+        succ += trial_success(real, cfg.channel, thetas, sim.si_model).sum(axis=1)
+        cache_succ += int(np.isin(real.modes, CACHE_MODES).sum())
+    return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
 
 
 @dataclass

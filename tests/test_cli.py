@@ -82,6 +82,17 @@ def test_bad_sweep_parameter_exits_2():
     assert exc.value.code == 2
 
 
+def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "o.csv")
+    args = ["--mode", "simulate", "--n-users", "5", "--trials", "10", "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", str(2**64)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert parse_args(args + ["--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+
 def test_repeated_sweep_parameter_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["--n-users", "5", "--sweep", "beta=0.1", "--sweep", "beta=0.2"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,13 +13,10 @@ from fdd2d import (
     build_zipf,
     classify_modes,
     compute_mode_probabilities,
-    link_sir,
     run_experiment,
-    sample_realization,
-    trial_success,
 )
-from fdd2d.simulator import RECEIVING_MODES
-from oracles import run_trial
+from fdd2d.simulator import RECEIVING_MODES, _block_stats, _simulate_block
+from oracles import block_stats, link_sir, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
     n_users=10,
@@ -266,6 +265,97 @@ def test_mode_chi_square_not_rejected():
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     p_value = stats.chi2.sf(chi2, df=6)
     assert p_value > 0.01
+
+
+GATE_THETAS = 10.0 ** (np.arange(-10, 31, 1) / 10.0)
+
+
+def gate_config(n_users, gamma_r, beta):
+    return ModelConfig(n_users, DiskConfig(30.0), build_zipf(1000, gamma_r), ChannelConfig(4.0, beta))
+
+
+def assert_counts_equal(got, want):
+    names = ("successes per threshold", "cache hits", "user samples", "mode counts", "n_t histogram")
+    for name, g, w in zip(names, got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+@pytest.mark.parametrize("si_model", ["per-interferer", "single"])
+@pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40, 200])
+def test_block_counts_equal_per_trial_oracle(n_users, si_model):
+    # the kernel keeps every trial's seed stream and arithmetic, so its
+    # integer counts equal the one-network-at-a-time oracle's exactly
+    trials = 12 if n_users == 200 else 40
+    for gamma_r in (0.0, 1.2, 2.5):
+        for beta in (0.0, 1e-2):
+            cfg = gate_config(n_users, gamma_r, beta)
+            sim = SimConfig(trials=trials, master_seed=31, si_model=si_model)
+            args = (cfg, sim, GATE_THETAS, 5, 5 + trials)
+            assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+@pytest.mark.parametrize("si_model", ["per-interferer", "single"])
+def test_block_counts_equal_oracle_over_unaligned_range(si_model):
+    # [5, 1030) spans a pool task's worth of trials in kernel blocks whose
+    # size does not divide it
+    cfg = gate_config(40, 1.2, 1e-2)
+    args = (cfg, SimConfig(trials=1, master_seed=32, si_model=si_model), GATE_THETAS, 5, 1030)
+    assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+def test_block_counts_at_thresholds_equal_to_sirs():
+    # a receiver whose SIR equals the threshold succeeds, as in the oracle
+    cfg = gate_config(10, 1.2, 1e-2)
+    sim = SimConfig(trials=1, master_seed=35)
+    sir = _simulate_block(cfg, sim, 0, 40).sir
+    thetas = np.unique(sir[np.isfinite(sir)])[::5]
+    args = (cfg, sim, thetas, 0, 40)
+    assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40, 200])
+def test_block_of_one_replays_oracle_trial_bitwise(n_users):
+    for si_model in ("per-interferer", "single"):
+        for gamma_r in (0.0, 1.2, 2.5):
+            for beta in (0.0, 1e-2):
+                cfg = gate_config(n_users, gamma_r, beta)
+                sim = SimConfig(trials=1, master_seed=33, si_model=si_model)
+                for trial in (0, 7):
+                    block = _simulate_block(cfg, sim, trial, trial + 1)
+                    real = sample_realization(cfg, trial_rng(sim.master_seed, trial))
+                    sir = link_sir(real, cfg.channel, si_model)
+                    np.testing.assert_array_equal(block.modes[0], real.modes)
+                    np.testing.assert_array_equal(block.transmitters[0], real.transmitters)
+                    np.testing.assert_array_equal(block.serve_target[0], real.serve_target)
+                    # same bits, so NaN and inf sit in the same places
+                    np.testing.assert_array_equal(block.sir[0].view(np.uint64), sir.view(np.uint64))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_network_replay_within_oracle_peak_memory():
+    # one trial at N = 2000: the kernel keeps only the transmitter rows of
+    # the fading matrix, drawn many rows at a time, and still reproduces the
+    # oracle's SIRs bit for bit
+    cfg = ModelConfig(2000, DiskConfig(30.0), build_zipf(3000, 1.2), ChannelConfig(4.0, 1e-5))
+    sim = SimConfig(trials=1, master_seed=34)
+
+    def oracle_trial():
+        real = sample_realization(cfg, trial_rng(sim.master_seed, 0))
+        return real, link_sir(real, cfg.channel, sim.si_model)
+
+    block, kernel_peak = traced_peak(_simulate_block, cfg, sim, 0, 1)
+    (real, sir), oracle_peak = traced_peak(oracle_trial)
+    np.testing.assert_array_equal(block.serve_target[0], real.serve_target)
+    np.testing.assert_array_equal(block.sir[0].view(np.uint64), sir.view(np.uint64))
+    assert kernel_peak <= oracle_peak
 
 
 def test_sim_config_validation():
