@@ -18,7 +18,7 @@ from .analytic import (
 from .geometry import DiskConfig, link_distance_nodes
 from .modes import ModeProbabilities, compute_mode_probabilities
 from .popularity import PopularityProfile, build_zipf, hitting_probability, sample_request
-from .quadrature import DEFAULT_NODES, QuadratureSpec, QuadratureWarning, refine_until
+from .quadrature import DEFAULT_NODES, QuadratureSpec, QuadratureWarning
 from .simulator import Mode, ModeFrequencyReport, SimConfig, classify_modes, run_experiment
 
 __version__ = "0.1.0"

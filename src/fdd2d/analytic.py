@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,6 +46,9 @@ SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 # Bytes of the (v, t, angle, zi) block the kernel evaluates at once; chunks of
 # the v axis keep memory bounded whatever node counts are asked for.
 _KERNEL_CHUNK_BYTES = 4 << 20
+
+# Soft budget of integrand evaluations per transform: over it, a warning.
+_EVALUATION_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -105,13 +108,15 @@ class _LaplaceEvaluator:
     The per-interferer kernel factorizes as exp(-s*1_FD*beta*z0**alpha) times
     1/(1 + s*(zi/wi)**alpha), so the serving-distance factor pulls out of the
     inner (wi, zi) integral exactly.  The inner integral K(v, t) depends only
-    on s, and ``n_t - 1`` interferers raise it to that power.  Distances
-    scale with the radius R and the ratio zi/wi does not, so the grids are
-    built once on the unit disk: R and beta enter only the SI exponent, as
-    the scale ``beta * R**alpha`` times the unit-disk ``z0**alpha``.  The wi
-    integral runs in the bearing angle (removing the endpoint divergences of
-    the interferer-distance law) and the zi/z0 rim branches run in the
-    subtended angle (removing the square-root cusp at z = 1 - offset).
+    on s, and ``n_t - 1`` interferers raise it to that power, so a count law
+    enters only through its generating function (see :meth:`count_average`).
+    Distances scale with the radius R and the ratio zi/wi does not, so the
+    grids are built once on the unit disk: R and beta enter only the SI
+    exponent, as the scale ``beta * R**alpha`` times the unit-disk
+    ``z0**alpha``.  The wi integral runs in the bearing angle (removing the
+    endpoint divergences of the interferer-distance law) and the zi/z0 rim
+    branches run in the subtended angle (removing the square-root cusp at
+    z = 1 - offset).
     """
 
     def __init__(self, alpha: float, node_items: tuple):
@@ -159,26 +164,21 @@ class _LaplaceEvaluator:
         self._k_cache[key] = k
         return k
 
-    def laplace(self, s, delta, n_t, scale, si_model) -> float:
-        m_grid = self.k_grid(s) ** (n_t - 1)
-        if delta == HDRX:
-            return float(np.sum(self.vt_weight * m_grid))
-        n_si = (n_t - 1) if si_model == SI_PER_INTERFERER else 1
-        si_factor = np.exp(-(s * scale * n_si) * self.z0_pow)
-        serving = np.einsum("vk,vk->v", self.z0_wts, si_factor)
-        return float(np.sum(self.vt_weight * m_grid * serving[:, None]))
+    def count_average(self, s, scale, g, si_model) -> tuple:
+        """HDRX and FDTR transforms averaged over the transmitter-count law with generating function g.
 
-    def count_average(self, s, scale, p_tx, n_users, si_model) -> tuple:
-        """HDRX and FDTR transforms averaged over a Binomial(n_users, p_tx) transmitter count."""
+        ``g(x) = sum over n >= 1 of P(n) * x**(n - 1)``, evaluated elementwise:
+        ``n - 1`` interferers raise the kernel, and under the per-interferer
+        SI model also the SI factor, to that power.
+        """
         k = self.k_grid(s)
-        g = _count_sum(k, p_tx, n_users)
+        g_k = g(k)
         si_factor = np.exp(-(s * scale) * self.z0_pow)
         if si_model == SI_SINGLE:
-            fdtr = g * np.einsum("vk,vk->v", self.z0_wts, si_factor)[:, None]
+            fdtr = g_k * np.einsum("vk,vk->v", self.z0_wts, si_factor)[:, None]
         else:
-            g_fd = _count_sum(k[:, :, None] * si_factor[:, None, :], p_tx, n_users)
-            fdtr = np.einsum("vtk,vk->vt", g_fd, self.z0_wts)
-        return float(np.sum(self.vt_weight * g)), float(np.sum(self.vt_weight * fdtr))
+            fdtr = np.einsum("vtk,vk->vt", g(k[:, :, None] * si_factor[:, None, :]), self.z0_wts)
+        return float(np.sum(self.vt_weight * g_k)), float(np.sum(self.vt_weight * fdtr))
 
 
 def _link_nodes(offsets, nodes: int, alpha: float):
@@ -191,18 +191,18 @@ _unit_evaluator = lru_cache(maxsize=8)(_LaplaceEvaluator)
 _DEFAULT_SPEC = QuadratureSpec()
 
 
-def _evaluator(cfg: ModelConfig, spec: Optional[QuadratureSpec], delta: str, si_model: str):
+def _evaluator(cfg: ModelConfig, spec: Optional[QuadratureSpec], si_model: str):
     """The shared unit-disk evaluator and the SI scale ``beta * R**alpha`` of ``cfg``."""
     if si_model not in SI_MODELS:
         raise ValueError(f"si_model must be one of {SI_MODELS}, got {si_model!r}")
     spec = spec if spec is not None else _DEFAULT_SPEC
     ev = _unit_evaluator(cfg.channel.alpha, spec.node_items())
-    cost = ev.grid_evaluations + (ev.z0_evaluations if delta == FDTR else 0)
-    if cost > spec.max_evaluations:
+    cost = ev.grid_evaluations + ev.z0_evaluations
+    if cost > _EVALUATION_BUDGET:
         warnings.warn(
             QuadratureWarning(
                 f"interference transform needs ~{cost} evaluations, over the "
-                f"budget of {spec.max_evaluations}; result is still computed"
+                f"budget of {_EVALUATION_BUDGET}; result is still computed"
             )
         )
     return ev, cfg.channel.beta * cfg.disk.radius**cfg.channel.alpha
@@ -236,7 +236,7 @@ def laplace_interference(
     spec : QuadratureSpec, optional
         Node counts per integration level; defaults are deterministic and
         shared process-wide.  A soft :class:`QuadratureWarning` is emitted if
-        the call exceeds ``spec.max_evaluations`` integrand evaluations.
+        the node counts ask for more than 10**9 integrand evaluations.
     si_model : str
         Self-interference accounting, see :data:`SI_MODELS`.
     """
@@ -246,8 +246,9 @@ def laplace_interference(
         raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
     if not isinstance(n_t, (int, np.integer)) or n_t < 1:
         raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
-    ev, scale = _evaluator(cfg, spec, delta, si_model)
-    return ev.laplace(s, delta, int(n_t), scale, si_model)
+    ev, scale = _evaluator(cfg, spec, si_model)
+    hdrx, fdtr = ev.count_average(s, scale, lambda x: x ** (int(n_t) - 1), si_model)
+    return hdrx if delta == HDRX else fdtr
 
 
 def success_probability_cache(cfg: ModelConfig) -> float:
@@ -315,12 +316,13 @@ def success_curve(
         raise ValueError("thetas must be positive and finite")
     if np.any(np.diff(thetas) < 0):
         raise ValueError("thetas must be sorted ascending")
-    ev, scale = _evaluator(cfg, spec, FDTR, si_model)
+    ev, scale = _evaluator(cfg, spec, si_model)
     p_cache = success_probability_cache(cfg)
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
+    binomial = partial(_count_sum, p_tx=mp.p_tx, n_users=cfg.n_users)
     p_sir = np.empty(thetas.size)
     for i, theta in enumerate(thetas.tolist()):
-        hdrx, fdtr = ev.count_average(theta, scale, mp.p_tx, cfg.n_users, si_model)
+        hdrx, fdtr = ev.count_average(theta, scale, binomial, si_model)
         p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
     return SuccessCurve(
         thetas=thetas,

@@ -44,7 +44,10 @@ CSV_COLUMNS = [
 ]
 
 RUN_MODES = ("analytic", "simulate", "both")
-SWEEPABLE = ("n_users", "gamma_r", "radius", "beta")
+
+# Most thresholds a --theta-db grid may hold; each one costs a kernel evaluation.
+_MAX_THRESHOLDS = 10**6
+
 
 @dataclass(frozen=True)
 class ThetaGrid:
@@ -90,6 +93,72 @@ class ExperimentSpec:
         return [dict(zip(names, combo)) for combo in itertools.product(*(vals for _, vals in self.sweep))]
 
 
+def _number(kind, valid=lambda v: True, requirement=""):
+    """Argparse converter of text to ``kind``, finite if float; a usage error unless ``valid``."""
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
+        return value
+
+    return convert
+
+
+_count = _number(int, lambda v: v >= 1, "be at least 1")
+
+# The one converter of each sweepable parameter, used by its flag and by --sweep.
+SWEEP_CONVERTERS = {
+    "n_users": _count,
+    "gamma_r": _number(float, lambda v: v >= 0, "be nonnegative"),
+    "radius": _number(float, lambda v: v > 0, "be positive"),
+    "beta": _number(float, lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+}
+SWEEPABLE = tuple(SWEEP_CONVERTERS)
+
+
+def _theta_grid(text) -> ThetaGrid:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expects start:stop:step, got {text!r}")
+    start, stop, step = map(_number(float), parts)
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"step must be positive, got {step}")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"start must not exceed stop, got {text!r}")
+    if not (stop - start) / step < _MAX_THRESHOLDS:
+        raise argparse.ArgumentTypeError(f"{text!r} asks for more than {_MAX_THRESHOLDS} thresholds")
+    grid = ThetaGrid(start, stop, step)
+    with np.errstate(over="ignore"):
+        linear = grid.values_linear()
+    if not np.all((linear > 0) & np.isfinite(linear)):
+        raise argparse.ArgumentTypeError(f"{text!r} gives thresholds of 0 or infinity in linear scale")
+    return grid
+
+
+def _quad_nodes(text) -> dict:
+    overrides = {}
+    for pair in text.split(","):
+        pair = pair.strip()
+        if not pair:
+            continue
+        if "=" not in pair:
+            raise argparse.ArgumentTypeError(f"expects LEVEL=K pairs, got {pair!r}")
+        level, _, count = pair.partition("=")
+        level = level.strip()
+        if level not in DEFAULT_NODES:
+            raise argparse.ArgumentTypeError(f"level must be one of {sorted(DEFAULT_NODES)}, got {level!r}")
+        if level in overrides:
+            raise argparse.ArgumentTypeError(f"level {level!r} is given more than once")
+        overrides[level] = _number(int, lambda v: v >= 4, f"give level {level!r} at least 4 nodes")(count)
+    return overrides
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdd2d",
@@ -100,13 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value file; flags override file values")
     parser.add_argument("--mode", choices=RUN_MODES, default="analytic", help="what to compute (default %(default)s)")
-    parser.add_argument("--n-users", dest="n_users", help="number of users N (required)")
-    parser.add_argument("--radius", default="30", help="disk radius in meters (default %(default)s)")
-    parser.add_argument("--library-size", dest="library_size", default="1000", help="content library size m (default %(default)s)")
-    parser.add_argument("--zipf", default="1.2", help="Zipf skew exponent gamma_r (default %(default)s)")
-    parser.add_argument("--alpha", default="4", help="path-loss exponent, > 2 (default %(default)s)")
-    parser.add_argument("--beta", default="1e-5", help="residual self-interference power ratio in [0,1] (default %(default)s)")
-    parser.add_argument("--theta-db", dest="theta_db", default="-10:30:2", help="SIR threshold grid start:stop:step in dB (default %(default)s)")
+    parser.add_argument("--n-users", dest="n_users", type=_count, help="number of users N (required)")
+    parser.add_argument("--radius", type=SWEEP_CONVERTERS["radius"], default="30", help="disk radius in meters (default %(default)s)")
+    parser.add_argument("--library-size", dest="library_size", type=_count, default="1000", help="content library size m (default %(default)s)")
+    parser.add_argument("--zipf", type=SWEEP_CONVERTERS["gamma_r"], default="1.2", help="Zipf skew exponent gamma_r (default %(default)s)")
+    parser.add_argument("--alpha", type=_number(float, lambda v: v > 2, "exceed 2"), default="4", help="path-loss exponent, > 2 (default %(default)s)")
+    parser.add_argument("--beta", type=SWEEP_CONVERTERS["beta"], default="1e-5", help="residual self-interference power ratio in [0,1] (default %(default)s)")
+    parser.add_argument("--theta-db", dest="theta_db", type=_theta_grid, default="-10:30:2", help="SIR threshold grid start:stop:step in dB (default %(default)s)")
     parser.add_argument(
         "--sweep",
         action="append",
@@ -114,13 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PARAM=V1,V2,...",
         help=f"sweep one of {SWEEPABLE}; repeat the flag to sweep several (cartesian product)",
     )
-    parser.add_argument("--trials", default="10000", help="Monte Carlo trials (default %(default)s)")
-    parser.add_argument("--seed", default="0", help="master seed for the simulator, an integer in [0, 2**64) (default %(default)s)")
+    parser.add_argument("--trials", type=_count, default="10000", help="Monte Carlo trials (default %(default)s)")
+    parser.add_argument(
+        "--seed", type=_number(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"), default="0",
+        help="master seed for the simulator, an integer in [0, 2**64) (default %(default)s)",
+    )
     parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, default=SI_PER_INTERFERER, help="self-interference accounting (default %(default)s)")
     parser.add_argument(
-        "--quad-nodes",
-        dest="quad_nodes",
-        metavar="LEVEL=K,...",
+        "--quad-nodes", dest="quad_nodes", type=_quad_nodes, default={}, metavar="LEVEL=K,...",
         help=f"override quadrature node counts per level, defaults {DEFAULT_NODES}",
     )
     parser.add_argument("--out", default="results.csv", help="output CSV path (default %(default)s)")
@@ -155,38 +225,6 @@ def _read_config_file(path: str, known, error) -> dict:
     return values
 
 
-def _parse_int(text, flag, error, minimum=None):
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        error(f"{flag} expects an integer, got {text!r}")
-    if minimum is not None and value < minimum:
-        error(f"{flag} must be at least {minimum}, got {value}")
-    return value
-
-
-def _parse_float(text, flag, error):
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        error(f"{flag} expects a number, got {text!r}")
-    if not math.isfinite(value):
-        error(f"{flag} must be finite, got {text!r}")
-    return value
-
-
-def _parse_theta_grid(text, error) -> ThetaGrid:
-    parts = text.split(":")
-    if len(parts) != 3:
-        error(f"--theta-db expects start:stop:step, got {text!r}")
-    start, stop, step = (_parse_float(p, "--theta-db", error) for p in parts)
-    if step <= 0:
-        error(f"--theta-db step must be positive, got {step}")
-    if stop < start:
-        error(f"--theta-db start must not exceed stop, got {text!r}")
-    return ThetaGrid(start, stop, step)
-
-
 def _parse_sweep(entries, error) -> list:
     sweep = []
     for entry in entries:
@@ -194,58 +232,39 @@ def _parse_sweep(entries, error) -> list:
             error(f"--sweep expects PARAM=V1,V2,..., got {entry!r}")
         name, _, values_text = entry.partition("=")
         name = name.strip().replace("-", "_")
-        if name not in SWEEPABLE:
+        if name not in SWEEP_CONVERTERS:
             error(f"--sweep parameter must be one of {SWEEPABLE}, got {name!r}")
         if any(name == swept for swept, _ in sweep):
             error(f"--sweep {name} is given more than once; list all its values in one flag")
         raw_values = [v for v in values_text.split(",") if v.strip()]
         if not raw_values:
             error(f"--sweep {name} has no values")
-        if name == "n_users":
-            values = [_parse_int(v, "--sweep n_users", error, minimum=1) for v in raw_values]
-        else:
-            values = [_parse_float(v, f"--sweep {name}", error) for v in raw_values]
-        sweep.append((name, values))
+        try:
+            sweep.append((name, [SWEEP_CONVERTERS[name](v) for v in raw_values]))
+        except argparse.ArgumentTypeError as exc:
+            error(f"--sweep {name}: {exc}")
     return sweep
-
-
-def _parse_quad_nodes(text, error) -> dict:
-    overrides = {}
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        if "=" not in pair:
-            error(f"--quad-nodes expects LEVEL=K pairs, got {pair!r}")
-        level, _, count = pair.partition("=")
-        level = level.strip()
-        if level not in DEFAULT_NODES:
-            error(f"--quad-nodes level must be one of {sorted(DEFAULT_NODES)}, got {level!r}")
-        if level in overrides:
-            error(f"--quad-nodes level {level!r} is given more than once")
-        overrides[level] = _parse_int(count, "--quad-nodes", error, minimum=4)
-    return overrides
 
 
 def _join_theta_flag(argv) -> list:
     """Fuse ``--theta-db -10:30:1`` into one token so argparse does not read the
     leading minus of the grid as an option prefix."""
     out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--theta-db" and i + 1 < len(argv):
-            out.append(argv[i] + "=" + argv[i + 1])
-            i += 2
+    for token in argv:
+        if out and out[-1] == "--theta-db":
+            out[-1] += "=" + token
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(token)
     return out
 
 
 def parse_args(argv=None) -> ExperimentSpec:
     """Parse flags (and an optional config file) into a validated ExperimentSpec.
 
-    Usage problems exit with status 2 and a message naming the flag.
+    Each numeric flag converts and checks its value in its argparse ``type``,
+    which also converts the string defaults a config file sets; ``--sweep``
+    values go through the same converters.  Usage problems exit with status
+    2 and a message naming the flag.
     """
     parser = _build_parser()
     argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
@@ -261,93 +280,56 @@ def parse_args(argv=None) -> ExperimentSpec:
         parser.set_defaults(**file_values)
         args = parser.parse_args(argv)
 
-    mode = args.mode
-    if mode not in RUN_MODES:
-        error(f"--mode must be one of {RUN_MODES}, got {mode!r}")
-    if mode != "analytic":
+    if args.mode not in RUN_MODES:
+        error(f"--mode must be one of {RUN_MODES}, got {args.mode!r}")
+    if args.mode != "analytic":
         try:
             resolve_workers()
         except ValueError as exc:
             error(str(exc))
-    si_model = args.si_model
-    if si_model not in SI_MODELS:
-        error(f"--si-model must be one of {SI_MODELS}, got {si_model!r}")
-
+    if args.si_model not in SI_MODELS:
+        error(f"--si-model must be one of {SI_MODELS}, got {args.si_model!r}")
     if args.n_users is None:
         error("--n-users is required (flag or config file)")
-    n_users = _parse_int(args.n_users, "--n-users", error, minimum=1)
-    library_size = _parse_int(args.library_size, "--library-size", error, minimum=1)
-    radius = _parse_float(args.radius, "--radius", error)
-    if radius <= 0:
-        error(f"--radius must be positive, got {radius}")
-    gamma_r = _parse_float(args.zipf, "--zipf", error)
-    if gamma_r < 0:
-        error(f"--zipf must be nonnegative, got {gamma_r}")
-    alpha = _parse_float(args.alpha, "--alpha", error)
-    if alpha <= 2:
-        error(f"--alpha must exceed 2, got {alpha}")
-    beta = _parse_float(args.beta, "--beta", error)
-    if not 0 <= beta <= 1:
-        error(f"--beta must lie in [0, 1], got {beta}")
-    trials = _parse_int(args.trials, "--trials", error, minimum=1)
-    seed = _parse_int(args.seed, "--seed", error, minimum=0)
-    if seed >= 2**64:
-        error(f"--seed must be below 2**64, got {seed}")
-
-    theta_grid = _parse_theta_grid(args.theta_db, error)
 
     sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
-    quad_nodes = _parse_quad_nodes(args.quad_nodes, error) if args.quad_nodes else {}
-
-    if n_users > library_size:
-        error(f"--n-users ({n_users}) must not exceed --library-size ({library_size})")
+    if args.n_users > args.library_size:
+        error(f"--n-users ({args.n_users}) must not exceed --library-size ({args.library_size})")
     for name, values in sweep:
-        if name == "n_users" and max(values) > library_size:
-            error(f"--sweep n_users values must not exceed --library-size ({library_size})")
-        if name == "radius" and min(values) <= 0:
-            error("--sweep radius values must be positive")
-        if name == "gamma_r" and min(values) < 0:
-            error("--sweep gamma_r values must be nonnegative")
-        if name == "beta" and not all(0 <= v <= 1 for v in values):
-            error("--sweep beta values must lie in [0, 1]")
+        if name == "n_users" and max(values) > args.library_size:
+            error(f"--sweep n_users values must not exceed --library-size ({args.library_size})")
 
     return ExperimentSpec(
-        mode=mode,
-        n_users=n_users,
-        radius=radius,
-        library_size=library_size,
-        gamma_r=gamma_r,
-        alpha=alpha,
-        beta=beta,
-        theta_grid=theta_grid,
+        mode=args.mode,
+        n_users=args.n_users,
+        radius=args.radius,
+        library_size=args.library_size,
+        gamma_r=args.zipf,
+        alpha=args.alpha,
+        beta=args.beta,
+        theta_grid=args.theta_db,
         sweep=sweep,
-        trials=trials,
-        seed=seed,
-        si_model=si_model,
-        quad_nodes=quad_nodes,
+        trials=args.trials,
+        seed=args.seed,
+        si_model=args.si_model,
+        quad_nodes=args.quad_nodes,
         output_path=args.out,
     )
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
 def _point_config(spec: ExperimentSpec, point: dict) -> ModelConfig:
-    n_users = int(point.get("n_users", spec.n_users))
-    radius = float(point.get("radius", spec.radius))
-    gamma_r = float(point.get("gamma_r", spec.gamma_r))
-    beta = float(point.get("beta", spec.beta))
-    profile = build_zipf(spec.library_size, gamma_r)
+    value = {**{name: getattr(spec, name) for name in SWEEPABLE}, **point}
     return ModelConfig(
-        n_users=n_users,
-        disk=DiskConfig(radius),
-        profile=profile,
-        channel=ChannelConfig(alpha=spec.alpha, beta=beta),
+        n_users=value["n_users"],
+        disk=DiskConfig(value["radius"]),
+        profile=build_zipf(spec.library_size, value["gamma_r"]),
+        channel=ChannelConfig(alpha=spec.alpha, beta=value["beta"]),
     )
 
 
@@ -358,7 +340,7 @@ def run(spec: ExperimentSpec) -> int:
     """
     thetas_db = spec.theta_grid.values_db()
     thetas = spec.theta_grid.values_linear()
-    quad = QuadratureSpec(nodes_per_level={**DEFAULT_NODES, **spec.quad_nodes})
+    quad = QuadratureSpec(spec.quad_nodes)
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
 
@@ -366,18 +348,11 @@ def run(spec: ExperimentSpec) -> int:
     gap_overall = None
     for point in spec.sweep_points():
         cfg = _point_config(spec, point)
-        label = " ".join(
-            f"{k}={v}"
-            for k, v in (
-                ("n_users", cfg.n_users),
-                ("gamma_r", cfg.profile.gamma_r),
-                ("radius", cfg.disk.radius),
-                ("alpha", cfg.channel.alpha),
-                ("beta", cfg.channel.beta),
-            )
-        )
         mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-        print(f"== {label} ==")
+        print(
+            f"== n_users={cfg.n_users} gamma_r={cfg.profile.gamma_r} radius={cfg.disk.radius} "
+            f"alpha={cfg.channel.alpha} beta={cfg.channel.beta} =="
+        )
         print("  " + "  ".join(f"{name[2:].upper().replace('_', '-')}={getattr(mp, name):.6f}" for name in MODE_FIELDS))
         print(f"  P-TX={mp.p_tx:.6f}")
 
@@ -396,9 +371,7 @@ def run(spec: ExperimentSpec) -> int:
             print(f"  max |p_total_analytic - p_total_sim| = {gap:.6f} at theta_db={at_db:g}")
             gap_overall = gap if gap_overall is None else max(gap_overall, gap)
 
-        p_cache = float(curve_a.p_cache) if curve_a is not None else (
-            float(curve_s.p_cache) if curve_s is not None else None
-        )
+        p_cache = float((curve_a or curve_s).p_cache)
         for i, theta_db in enumerate(thetas_db):
             rows.append(
                 {

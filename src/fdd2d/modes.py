@@ -38,11 +38,6 @@ class ModeProbabilities:
     p_tx: float
     n_users: int
 
-    def as_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in MODE_FIELDS}
-        d["p_tx"] = self.p_tx
-        return d
-
 
 def _undemanded(rho: np.ndarray, n_users: int) -> np.ndarray:
     """(1 - rho)**(n_users - 1): no other user requests the cached content."""

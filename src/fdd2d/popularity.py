@@ -43,9 +43,6 @@ class PopularityProfile:
         self.rho.setflags(write=False)
         self.p_hit_prefix.setflags(write=False)
 
-    def hitting_probability(self, n_users: int) -> float:
-        return hitting_probability(self, n_users)
-
 
 def build_zipf(m: int, gamma_r: float) -> PopularityProfile:
     """Build a Zipf popularity profile over ``m`` contents.

@@ -1,8 +1,10 @@
 """Reference routes used to cross-check the package.
 
 - Reference densities, samplers and integrator: the conditional link and
-  interferer distance densities, uniform-disk and distance samplers, and a
-  1-D Gauss-Legendre integrator on scipy's Legendre roots.
+  interferer distance densities, uniform-disk and distance samplers, a
+  1-D Gauss-Legendre integrator on scipy's Legendre roots, and
+  :func:`refine_until`, which doubles a quadrature spec's node counts until
+  successive estimates agree.
 - Monte Carlo oracles of the interference transform and of the SIR success
   event, and the two-point distance CDF of the disk.
 - The per-trial network simulator that the package's block kernel is
@@ -17,6 +19,8 @@ quadrature or node helpers, so agreement between these estimates and the
 library is a genuine dual-route check.
 """
 
+import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -24,7 +28,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import roots_legendre
 
-from fdd2d import SI_MODELS, SI_PER_INTERFERER, ModelConfig, Mode, classify_modes, sample_request
+from fdd2d import (
+    SI_MODELS,
+    SI_PER_INTERFERER,
+    ModelConfig,
+    Mode,
+    QuadratureWarning,
+    classify_modes,
+    sample_request,
+)
 from fdd2d.simulator import CACHE_MODES, FD_MODES, RECEIVING_MODES
 
 
@@ -63,6 +75,67 @@ def integrate_1d(f: Callable, a: float, b: float, nodes: int) -> float:
         bad = int(np.argmin(finite))
         raise QuadratureError(f"integrand returned {y[bad]} at x={x[bad]!r}")
     return float(np.dot(half * wts, y))
+
+
+def refine_until(f_estimate: Callable, spec, levels=None, *, rel_tol: float = 1e-8, max_evaluations: int = 10**9):
+    """Double all node counts until successive estimates agree to ``rel_tol``.
+
+    Parameters
+    ----------
+    f_estimate : callable
+        Maps a :class:`fdd2d.QuadratureSpec` to a scalar estimate.
+    spec : QuadratureSpec
+        Starting node counts.
+    levels : iterable of str, optional
+        The levels the estimator actually integrates over; the budget then
+        caps the product of those counts only.  Defaults to all levels,
+        appropriate for the full nested transform.
+    rel_tol : float
+        Relative difference between successive estimates that stops the loop.
+    max_evaluations : int
+        Soft budget on the product of the node counts of ``levels``.
+
+    Returns
+    -------
+    (value, achieved_rel_delta)
+        The last estimate and the relative difference between the two most
+        recent estimates.  If the node budget stops refinement first, a
+        :class:`fdd2d.QuadratureWarning` reporting both estimates is emitted
+        and the last pair is returned; the caller decides whether that is
+        acceptable.
+    """
+    if not rel_tol > 0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    levels = tuple(levels) if levels is not None else tuple(spec.nodes_per_level)
+
+    def evaluations(sp):
+        return math.prod(sp.nodes(level) for level in levels)
+
+    value = float(f_estimate(spec))
+    if evaluations(spec) > max_evaluations:
+        warnings.warn(
+            QuadratureWarning(
+                f"initial node counts {dict(spec.nodes_per_level)} already exceed the "
+                f"evaluation budget {max_evaluations}; single estimate {value!r}"
+            )
+        )
+        return value, math.inf
+    while True:
+        spec = spec.doubled()
+        new = float(f_estimate(spec))
+        scale = max(abs(new), abs(value))
+        delta = 0.0 if new == value else abs(new - value) / scale
+        previous, value = value, new
+        if delta < rel_tol:
+            return value, delta
+        if evaluations(spec.doubled()) > max_evaluations:
+            warnings.warn(
+                QuadratureWarning(
+                    f"node budget exhausted before reaching rel_tol={rel_tol}: "
+                    f"last estimates {previous!r} and {value!r} (rel delta {delta:.3e})"
+                )
+            )
+            return value, delta
 
 
 class Point2D(NamedTuple):

@@ -26,12 +26,11 @@ from fdd2d import (
     compute_mode_probabilities,
     laplace_interference,
     link_distance_nodes,
-    refine_until,
     run_experiment,
     success_curve,
     success_probability_cache,
 )
-from oracles import integrate_1d, mc_laplace, pdf_interferer_distance, pdf_link_distance
+from oracles import integrate_1d, mc_laplace, pdf_interferer_distance, pdf_link_distance, refine_until
 
 DISK30 = DiskConfig(30.0)
 CHANNEL = ChannelConfig(alpha=4.0, beta=1e-5)
@@ -111,7 +110,7 @@ def test_criterion_3_distance_law_normalization():
                 )
             return near + rim
 
-        value, _ = refine_until(density_mass, QuadratureSpec(rel_tol=1e-9), levels=("zi",))
+        value, _ = refine_until(density_mass, QuadratureSpec(), levels=("zi",), rel_tol=1e-9)
         worst_link = max(worst_link, abs(value - 1.0))
         z, wts = link_distance_nodes(q, DISK30, 24)
         worst_link = max(worst_link, abs(wts.sum() - 1.0))
@@ -301,10 +300,13 @@ def test_criterion_9_deterministic_csv(tmp_path):
         "--trials", "4000", "--seed", "1009",
         "--quad-nodes", "v=12,t=12,z0=12,angle=16,zi=12",
     ]
+    # the subprocesses import the checkout's package, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for name, workers in (("a.csv", "2"), ("b.csv", "2"), ("c.csv", "1")):
         out = tmp_path / name
-        env = dict(os.environ, FD_D2D_THREADS=workers)
+        env = dict(os.environ, FD_D2D_THREADS=workers, PYTHONPATH=pythonpath)
         result = subprocess.run(
             args + ["--out", str(out)], capture_output=True, text=True, env=env
         )

