@@ -43,9 +43,14 @@ SI_PER_INTERFERER = "per-interferer"
 SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
-# Bytes of the (v, t, angle, zi) block the kernel evaluates at once; chunks of
-# the v axis keep memory bounded whatever node counts are asked for.
-_KERNEL_CHUNK_BYTES = 4 << 20
+# Bytes of the one work buffer that a curve, or a kernel evaluation, allocates
+# per call.  The kernel tile and the count average run in v-chunks that fit it
+# (at least one v row each), so peak memory stays bounded whatever node counts
+# are asked for.  Reusing one buffer instead of a fresh block per chunk keeps
+# large temporaries out of the allocator and its page faults.  Of 0.5, 1, 2, 3
+# and 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest: the
+# default count average then fits one chunk, and larger buffers only add RSS.
+_WORK_BYTES = 2 << 20
 
 # Soft budget of integrand evaluations per transform: over it, a warning.
 _EVALUATION_BUDGET = 10**9
@@ -117,6 +122,11 @@ class _LaplaceEvaluator:
     endpoint divergences of the interferer-distance law) and the zi/z0 rim
     branches run in the subtended angle (removing the square-root cusp at
     z = 1 - offset).
+
+    One evaluator is shared process-wide by :func:`_unit_evaluator`, so it
+    holds nodes, weights and finished kernels only: each call brings its own
+    work buffer (:meth:`work_buffer`), and concurrent callers share nothing
+    they write.  A cached kernel is read-only.
     """
 
     def __init__(self, alpha: float, node_items: tuple):
@@ -129,56 +139,100 @@ class _LaplaceEvaluator:
 
         phi, phi_wts = panel_rule(0.0, np.pi, n_phi)
         self.phi_weight = phi_wts / np.pi
+        # Law of cosines for the interferer distance wi, whose alpha-th power
+        # k_grid builds per v-chunk: wi**2 = v**2 + t**2 - 2*v*t*cos(phi).
+        self.vt_sq = v_nodes[:, None] ** 2 + t_nodes[None, :] ** 2
+        self.two_vt = 2.0 * np.outer(v_nodes, t_nodes)
+        self.cos_phi = np.cos(phi)
+        self.alpha = alpha
 
         self.zi_pow, self.zi_wts = _link_nodes(t_nodes, nodes["zi"], alpha)
         self.z0_pow, self.z0_wts = _link_nodes(v_nodes, nodes["z0"], alpha)
 
-        w_sq = (
-            v_nodes[:, None, None] ** 2
-            + t_nodes[None, :, None] ** 2
-            - 2.0 * np.outer(v_nodes, t_nodes)[:, :, None] * np.cos(phi)[None, None, :]
-        )
-        self.w_pow = np.maximum(w_sq, 0.0) ** (alpha / 2.0)
-
         self.grid_evaluations = n_v * n_phi * self.zi_pow.size
         self.z0_evaluations = self.z0_pow.size
+        # Floats one v row takes: the kernel tile, its einsum and wi**alpha,
+        # and the per-interferer count average (SI row, K*e product,
+        # _count_sum scratch).
+        n_tz = n_t * self.z0_pow.shape[1]
+        self.kernel_row = n_t * n_phi * (self.zi_pow.shape[1] + 2)
+        self.count_row = self.z0_pow.shape[1] + n_tz + _count_sum_scratch(n_tz)
         self._k_cache: dict = {}
 
-    def k_grid(self, s: float) -> np.ndarray:
-        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid."""
+    def work_buffer(self) -> np.ndarray:
+        """One call's scratch: _WORK_BYTES, or more if one v row of either pass needs it."""
+        n_vt = self.vt_weight.size
+        return np.empty(max(_WORK_BYTES // 8, self.kernel_row, 2 * n_vt + self.count_row))
+
+    def k_grid(self, s: float, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid.
+
+        A kernel not yet cached is computed in v-chunks inside ``work``
+        (a fresh :meth:`work_buffer` if none is given).
+        """
         key = float(s)
         cached = self._k_cache.get(key)
         if cached is not None:
             return cached
-        n_v = self.w_pow.shape[0]
-        step = max(1, _KERNEL_CHUNK_BYTES * n_v // (8 * self.grid_evaluations))
+        if work is None:
+            work = self.work_buffer()
+        n_v, n_t = self.vt_weight.shape
+        n_phi, n_zi = self.phi_weight.size, self.zi_pow.shape[1]
+        step = max(1, work.size // self.kernel_row)
         s_zi = s * self.zi_pow[:, None, :]
-        k = np.empty(self.vt_weight.shape)
+        k = np.empty((n_v, n_t))
         for i in range(0, n_v, step):
-            w = self.w_pow[i : i + step, ..., None]
-            damp = w + s_zi
+            j = min(i + step, n_v)
+            damp = work[: (j - i) * n_t * n_phi * n_zi].reshape(j - i, n_t, n_phi, n_zi)
+            inner, w = work[damp.size : damp.size + 2 * (j - i) * n_t * n_phi].reshape(2, j - i, n_t, n_phi)
+            np.multiply(self.two_vt[i:j, :, None], self.cos_phi, out=w)
+            np.subtract(self.vt_sq[i:j, :, None], w, out=w)
+            np.maximum(w, 0.0, out=w)
+            np.power(w, self.alpha / 2.0, out=w)
+            w = w[..., None]
+            np.add(w, s_zi, out=damp)
             np.divide(w, damp, out=damp)
-            k[i : i + step] = np.einsum("vtpk,tk->vtp", damp, self.zi_wts) @ self.phi_weight
+            np.einsum("vtpk,tk->vtp", damp, self.zi_wts, out=inner)
+            np.matmul(inner, self.phi_weight, out=k[i:j])
+        k.setflags(write=False)
         if len(self._k_cache) > 4096:
             self._k_cache.clear()
         self._k_cache[key] = k
         return k
 
-    def count_average(self, s, scale, g, si_model) -> tuple:
+    def count_average(self, s, scale, g, si_model, work) -> tuple:
         """HDRX and FDTR transforms averaged over the transmitter-count law with generating function g.
 
-        ``g(x) = sum over n >= 1 of P(n) * x**(n - 1)``, evaluated elementwise:
-        ``n - 1`` interferers raise the kernel, and under the per-interferer
-        SI model also the SI factor, to that power.
+        ``g(x) = sum over n >= 1 of P(n) * x**(n - 1)``, evaluated elementwise
+        in place as ``g(x, scratch)`` (see :func:`_count_sum`): ``n - 1``
+        interferers raise the kernel, and under the per-interferer SI model
+        also the SI factor, to that power.  Everything runs in v-chunks inside
+        ``work``, a :meth:`work_buffer`.
         """
-        k = self.k_grid(s)
-        g_k = g(k)
-        si_factor = np.exp(-(s * scale) * self.z0_pow)
-        if si_model == SI_SINGLE:
-            fdtr = g_k * np.einsum("vk,vk->v", self.z0_wts, si_factor)[:, None]
-        else:
-            fdtr = np.einsum("vtk,vk->vt", g(k[:, :, None] * si_factor[:, None, :]), self.z0_wts)
-        return float(np.sum(self.vt_weight * g_k)), float(np.sum(self.vt_weight * fdtr))
+        k = self.k_grid(s, work)
+        n_v, n_t = k.shape
+        n_z = self.z0_pow.shape[1]
+        g_k, fdtr = work[: 2 * k.size].reshape((2,) + k.shape)
+        chunk = work[2 * k.size :]
+        step = max(1, chunk.size // self.count_row)
+        for i in range(0, n_v, step):
+            j = min(i + step, n_v)
+            si_factor = chunk[: (j - i) * n_z].reshape(j - i, n_z)
+            x = chunk[si_factor.size :]
+            np.multiply(-(s * scale), self.z0_pow[i:j], out=si_factor)
+            np.exp(si_factor, out=si_factor)
+            g_k[i:j] = k[i:j]
+            g(g_k[i:j], x)
+            if si_model == SI_SINGLE:
+                np.multiply(g_k[i:j], np.einsum("vk,vk->v", self.z0_wts[i:j], si_factor)[:, None], out=fdtr[i:j])
+            else:
+                k_e = x[: (j - i) * n_t * n_z].reshape(j - i, n_t, n_z)
+                np.multiply(k[i:j, :, None], si_factor[:, None, :], out=k_e)
+                g(k_e, x[k_e.size :])
+                np.einsum("vtk,vk->vt", k_e, self.z0_wts[i:j], out=fdtr[i:j])
+        np.multiply(self.vt_weight, g_k, out=g_k)
+        np.multiply(self.vt_weight, fdtr, out=fdtr)
+        return float(np.sum(g_k)), float(np.sum(fdtr))
 
 
 def _link_nodes(offsets, nodes: int, alpha: float):
@@ -247,8 +301,14 @@ def laplace_interference(
     if not isinstance(n_t, (int, np.integer)) or n_t < 1:
         raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
     ev, scale = _evaluator(cfg, spec, si_model)
-    hdrx, fdtr = ev.count_average(s, scale, lambda x: x ** (int(n_t) - 1), si_model)
-    return hdrx if delta == HDRX else fdtr
+    m = int(n_t) - 1
+    k_m = ev.k_grid(s) ** m
+    if delta == FDTR:
+        # A point-mass count needs no (v, t, z0) grid: (K*e_k)**m = K**m * e_k**m.
+        si_power = m if si_model == SI_PER_INTERFERER else 1
+        si_factor = np.exp(-(s * scale * si_power) * ev.z0_pow)
+        k_m *= np.einsum("vk,vk->v", ev.z0_wts, si_factor)[:, None]
+    return float(np.sum(ev.vt_weight * k_m))
 
 
 def success_probability_cache(cfg: ModelConfig) -> float:
@@ -256,22 +316,40 @@ def success_probability_cache(cfg: ModelConfig) -> float:
     return hitting_probability(cfg.profile, cfg.n_users) / cfg.n_users
 
 
-def _count_sum(x, p_tx: float, n_users: int):
-    """G(x) = sum over n >= 1 of pmf[n] * x**(n - 1) for a Binomial(n_users, p_tx) count.
+def _count_sum_scratch(size: int) -> int:
+    """Floats of scratch :func:`_count_sum` needs for ``size`` points: two work arrays and a mask."""
+    return 2 * size + -(-size // 8)
+
+
+def _count_sum(x, work, p_tx: float, n_users: int):
+    """Overwrite x with G(x) = sum over n >= 1 of pmf[n] * x**(n - 1) for a Binomial(n_users, p_tx) count.
 
     Equals ((q + p*x)**N - q**N) / x with q = 1 - p, evaluated as
     exp(N*log(q) + a) * -expm1(-a) / x with a = N*log1p(p*x/q): precise for
     small x, and finite where q**N underflows.  Below 1e-150 it is the limit
-    pmf[1], as log1p(p*x/q)/x loses its precision for subnormal x.
+    pmf[1], as log1p(p*x/q)/x loses its precision for subnormal x.  ``x`` is a
+    writable float array and ``work`` a flat float array of at least
+    ``_count_sum_scratch(x.size)`` elements; no other memory is allocated.
     """
     if p_tx == 1.0:
-        return x ** (n_users - 1)
+        return np.power(x, n_users - 1, out=x)
     q = 1.0 - p_tx
-    tiny = x < 1e-150
-    x = np.where(tiny, 1.0, x)
-    a = n_users * np.log1p(p_tx / q * x)
-    total = np.exp(n_users * math.log(q) + a) * -np.expm1(-a) / x
-    return np.where(tiny, n_users * p_tx * q ** (n_users - 1), total)
+    a, em = work[: 2 * x.size].reshape((2,) + x.shape)
+    tiny = work[2 * x.size :].view(np.bool_)[: x.size].reshape(x.shape)
+    np.less(x, 1e-150, out=tiny)
+    x[tiny] = 1.0
+    np.multiply(p_tx / q, x, out=a)
+    np.log1p(a, out=a)
+    np.multiply(n_users, a, out=a)
+    np.negative(a, out=em)
+    np.expm1(em, out=em)
+    np.negative(em, out=em)
+    np.add(n_users * math.log(q), a, out=a)
+    np.exp(a, out=a)
+    np.multiply(a, em, out=a)
+    np.divide(a, x, out=x)
+    x[tiny] = n_users * p_tx * q ** (n_users - 1)
+    return x
 
 
 def success_probability(
@@ -320,9 +398,10 @@ def success_curve(
     p_cache = success_probability_cache(cfg)
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
     binomial = partial(_count_sum, p_tx=mp.p_tx, n_users=cfg.n_users)
+    work = ev.work_buffer()
     p_sir = np.empty(thetas.size)
     for i, theta in enumerate(thetas.tolist()):
-        hdrx, fdtr = ev.count_average(theta, scale, binomial, si_model)
+        hdrx, fdtr = ev.count_average(theta, scale, binomial, si_model, work)
         p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
     return SuccessCurve(
         thetas=thetas,

@@ -12,6 +12,9 @@
   trial's generator, :func:`link_sir` and :func:`trial_success` evaluate
   it, :func:`block_stats` counts over a range of trials one at a time, and
   :func:`run_trial` evaluates one network at one threshold.
+- The allocating closed-form transmitter-count sum :func:`count_sum` that
+  the package's in-place ``_count_sum`` must equal bit for bit, and
+  :func:`package_count_sum`, which runs the package's on a copy.
 
 The samplers and Monte Carlo oracles draw raw geometry directly (polar disk
 draws, explicit angle draws), and the integrator does not use the package's
@@ -541,3 +544,29 @@ def marginal_link_cdf(d, radius, q_nodes=96):
         )
         out[idx] = near_mass[:, 0] + np.sum(w * lens / (np.pi * radius**2), axis=1)
     return out
+
+
+def count_sum(x, p_tx: float, n_users: int):
+    """G(x) = sum over n >= 1 of pmf[n] * x**(n - 1) for a Binomial(n_users, p_tx) count.
+
+    Equals ((q + p*x)**N - q**N) / x with q = 1 - p, evaluated as
+    exp(N*log(q) + a) * -expm1(-a) / x with a = N*log1p(p*x/q): precise for
+    small x, and finite where q**N underflows.  Below 1e-150 it is the limit
+    pmf[1], as log1p(p*x/q)/x loses its precision for subnormal x.
+    """
+    if p_tx == 1.0:
+        return x ** (n_users - 1)
+    q = 1.0 - p_tx
+    tiny = x < 1e-150
+    x = np.where(tiny, 1.0, x)
+    a = n_users * np.log1p(p_tx / q * x)
+    total = np.exp(n_users * math.log(q) + a) * -np.expm1(-a) / x
+    return np.where(tiny, n_users * p_tx * q ** (n_users - 1), total)
+
+
+def package_count_sum(x, p_tx: float, n_users: int):
+    """The package's in-place ``_count_sum`` on a copy of ``x``, with scratch of exactly the size it asks for."""
+    from fdd2d.analytic import _count_sum, _count_sum_scratch
+
+    out = np.array(x, dtype=np.float64)
+    return _count_sum(out, np.empty(_count_sum_scratch(out.size)), p_tx, n_users)

@@ -279,23 +279,116 @@ def test_curve_depends_on_radius_and_beta_only_through_scale(si_model):
 
 
 def test_count_sum_matches_binomial_polynomial():
-    from fdd2d.analytic import _count_sum
+    from oracles import package_count_sum
 
     x = np.array([0.0, 5e-324, 1e-200, 1e-3, 0.5, 1.0])
     for n_users in (1, 2, 7):
         for p_tx in (0.0, 0.3, 1.0):
             pmf = stats.binom.pmf(np.arange(n_users + 1), n_users, p_tx)
             expected = sum(pmf[n] * x ** (n - 1) for n in range(1, n_users + 1))
-            np.testing.assert_allclose(_count_sum(x, p_tx, n_users), expected, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(package_count_sum(x, p_tx, n_users), expected, rtol=1e-14, atol=0)
 
 
 def test_count_sum_stable_for_large_n():
-    from fdd2d.analytic import _count_sum
+    from oracles import package_count_sum
 
     # nonnegative coefficients: G is finite, nonnegative and nondecreasing on
     # [0, 1], and G(1) = 1 - pmf[0]
     x = np.concatenate([[0.0], np.logspace(-300, 0, 601)])
-    g = _count_sum(x, 0.3456, 10_000)
+    g = package_count_sum(x, 0.3456, 10_000)
     assert np.all(np.isfinite(g)) and np.all(g >= 0)
     assert np.all(np.diff(g) >= 0)
     assert abs(g[-1] - 1.0) < 1e-10
+
+
+def test_count_sum_in_place_matches_reference():
+    from oracles import count_sum, package_count_sum
+
+    # the edges of test_count_sum_matches_binomial_polynomial, the sides of the
+    # 1e-150 switch, and a (v, t, z0)-shaped block whose mask is not a whole
+    # number of floats
+    edges = [0.0, 5e-324, 1e-200, np.nextafter(1e-150, 0.0), 1e-150, np.nextafter(1e-150, 1.0), 1e-3, 1.0]
+    block = np.random.default_rng(5).choice(np.concatenate([edges, np.logspace(-300, 0, 41)]), (3, 5, 7))
+    for x in (np.array(edges), block):
+        for n_users in (1, 2, 7, 1000, 10_000):
+            for p_tx in (0.0, 0.3, 1.0):
+                np.testing.assert_array_equal(package_count_sum(x, p_tx, n_users), count_sum(x, p_tx, n_users))
+
+
+@pytest.mark.parametrize("si_model", SI_MODELS)
+def test_per_count_transform_matches_point_mass_count_average(si_model):
+    # laplace_interference factorizes (K*e_k)**m = K**m * e_k**m; the count
+    # average evaluates the same point-mass law on the (v, t, z0) grid
+    from fdd2d.analytic import _evaluator
+
+    ev, scale = _evaluator(CFG, None, si_model)
+    work = ev.work_buffer()
+    for n_t in (1, 2, 5, 40, 1000):
+        def point_mass(x, scratch):
+            return np.power(x, n_t - 1, out=x)
+
+        for s in (0.0, 0.1, 1.0, 10.0, 1000.0):
+            hdrx, fdtr = ev.count_average(s, scale, point_mass, si_model, work)
+            assert abs(laplace_interference(s, HDRX, n_t, CFG, si_model=si_model) - hdrx) <= 1e-12
+            assert abs(laplace_interference(s, FDTR, n_t, CFG, si_model=si_model) - fdtr) <= 1e-12
+
+
+def test_cold_curve_memory_is_bounded():
+    # one work buffer per call, and the kernel and count average run in
+    # v-chunks inside it: memory does not grow with the node counts
+    import tracemalloc
+
+    from fdd2d.analytic import _unit_evaluator
+
+    for nodes, bound_mib in (({}, 8.6), ({"v": 400, "angle": 128}, 8.0)):
+        _unit_evaluator.cache_clear()
+        tracemalloc.start()
+        try:
+            success_curve(CFG, [1.0, 10.0], QuadratureSpec(nodes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (nodes, peak / 2**20)
+
+
+def test_concurrent_curves_match_serial_calls():
+    # the shared evaluator holds no per-call scratch: curves computed at once
+    # on it, each computing kernels it has not cached, equal serial calls
+    import sys
+    import threading
+
+    from fdd2d.analytic import _unit_evaluator
+
+    jobs = [
+        (ModelConfig(n_users, CFG.disk, CFG.profile, CFG.channel), np.geomspace(lo, hi, 9), si_model)
+        for n_users, lo, hi, si_model in (
+            (10, 0.1, 10.0, SI_MODELS[0]),
+            (40, 0.3, 30.0, SI_MODELS[1]),
+            (2, 1.0, 1000.0, SI_MODELS[0]),
+            (1000, 0.05, 50.0, SI_MODELS[1]),
+        )
+    ]
+    _unit_evaluator.cache_clear()
+    serial = [success_curve(cfg, thetas, si_model=si_model) for cfg, thetas, si_model in jobs]
+    _unit_evaluator.cache_clear()
+    success_curve(CFG, [1.0])  # build the shared evaluator before the threads start
+    results = [None] * len(jobs)
+
+    def run(i):
+        cfg, thetas, si_model = jobs[i]
+        results[i] = success_curve(cfg, thetas, si_model=si_model)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        np.testing.assert_array_equal(got.p_sir, want.p_sir)
+        np.testing.assert_array_equal(got.p_total, want.p_total)

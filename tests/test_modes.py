@@ -62,14 +62,14 @@ def test_identities_property(m, gamma_r, n_frac):
 
 
 def test_pmf_hand_binomial():
-    from fdd2d.analytic import _count_sum
+    from oracles import package_count_sum
 
     # the transmitter count is Binomial(2, 1/2): pmf = (1/4, 1/2, 1/4), so the
     # count sum G(x) = sum_{n>=1} pmf[n] x^(n-1) is 1/2 + x/4, and the pmf
     # reads back as (1 - G(1), G(0), G(1) - G(0))
     x = np.array([0.0, 5e-324, 1e-200, 1e-3, 0.5, 1.0])
-    np.testing.assert_allclose(_count_sum(x, 0.5, 2), 0.5 + 0.25 * x, rtol=1e-15, atol=0)
-    g0, g1 = _count_sum(np.array([0.0, 1.0]), 0.5, 2)
+    np.testing.assert_allclose(package_count_sum(x, 0.5, 2), 0.5 + 0.25 * x, rtol=1e-15, atol=0)
+    g0, g1 = package_count_sum(np.array([0.0, 1.0]), 0.5, 2)
     np.testing.assert_allclose([1.0 - g1, g0, g1 - g0], [0.25, 0.5, 0.25], atol=1e-15)
 
 
