@@ -22,7 +22,7 @@ from .geometry import DiskConfig
 from .modes import MODE_FIELDS, compute_mode_probabilities
 from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
-from .simulator import Mode, SimConfig, resolve_workers, run_experiment
+from .simulator import Mode, SimConfig, _collect, _pool, _submit, _task_bounds, resolve_workers
 
 __all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
 
@@ -323,12 +323,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _point_config(spec: ExperimentSpec, point: dict) -> ModelConfig:
+def _point_config(spec: ExperimentSpec, point: dict, profiles: dict) -> ModelConfig:
+    """The model of one sweep point; points of one ``gamma_r`` share its profile in ``profiles``."""
     value = {**{name: getattr(spec, name) for name in SWEEPABLE}, **point}
+    if value["gamma_r"] not in profiles:
+        profiles[value["gamma_r"]] = build_zipf(spec.library_size, value["gamma_r"])
     return ModelConfig(
         n_users=value["n_users"],
         disk=DiskConfig(value["radius"]),
-        profile=build_zipf(spec.library_size, value["gamma_r"]),
+        profile=profiles[value["gamma_r"]],
         channel=ChannelConfig(alpha=spec.alpha, beta=value["beta"]),
     )
 
@@ -344,53 +347,60 @@ def run(spec: ExperimentSpec) -> int:
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
 
+    # every point's model is held until its blocks are collected
+    profiles = {}
+    configs = [_point_config(spec, point, profiles) for point in spec.sweep_points()]
+    sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
     rows = []
     gap_overall = None
-    for point in spec.sweep_points():
-        cfg = _point_config(spec, point)
-        mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-        print(
-            f"== n_users={cfg.n_users} gamma_r={cfg.profile.gamma_r} radius={cfg.disk.radius} "
-            f"alpha={cfg.channel.alpha} beta={cfg.channel.beta} =="
-        )
-        print("  " + "  ".join(f"{name[2:].upper().replace('_', '-')}={getattr(mp, name):.6f}" for name in MODE_FIELDS))
-        print(f"  P-TX={mp.p_tx:.6f}")
-
-        curve_a = success_curve(cfg, thetas, quad, spec.si_model) if analytic else None
-        curve_s = None
-        if simulate:
-            sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
-            curve_s, report = run_experiment(cfg, sim, thetas)
-            freqs = report.mode_frequencies
-            print("  simulated mode frequencies: " + "  ".join(
-                f"{mode.name.replace('_', '-')}={freqs[mode]:.6f}" for mode in Mode
-            ))
-        if analytic and simulate:
-            gap = float(np.max(np.abs(curve_a.p_total - curve_s.p_total)))
-            at_db = float(thetas_db[int(np.argmax(np.abs(curve_a.p_total - curve_s.p_total)))])
-            print(f"  max |p_total_analytic - p_total_sim| = {gap:.6f} at theta_db={at_db:g}")
-            gap_overall = gap if gap_overall is None else max(gap_overall, gap)
-
-        p_cache = float((curve_a or curve_s).p_cache)
-        for i, theta_db in enumerate(thetas_db):
-            rows.append(
-                {
-                    "theta_db": _fmt(float(theta_db)),
-                    "theta_linear": _fmt(float(thetas[i])),
-                    "p_cache": _fmt(p_cache),
-                    "p_sir_analytic": _fmt(float(curve_a.p_sir[i])) if curve_a is not None else "",
-                    "p_total_analytic": _fmt(float(curve_a.p_total[i])) if curve_a is not None else "",
-                    "p_total_sim": _fmt(float(curve_s.p_total[i])) if curve_s is not None else "",
-                    "ci_halfwidth": _fmt(float(curve_s.ci_halfwidth[i])) if curve_s is not None else "",
-                    "n_users": _fmt(cfg.n_users),
-                    "gamma_r": _fmt(cfg.profile.gamma_r),
-                    "radius": _fmt(cfg.disk.radius),
-                    "alpha": _fmt(cfg.channel.alpha),
-                    "beta": _fmt(cfg.channel.beta),
-                    "trials": _fmt(spec.trials) if simulate else "",
-                    "seed": _fmt(spec.seed) if simulate else "",
-                }
+    workers = resolve_workers() if simulate else 1
+    with _pool(workers, len(configs) * len(_task_bounds(sim))) as pool:
+        # every point's trial blocks are queued before the first analytic
+        # curve, so the workers simulate while this process computes curves
+        runs = [_submit(cfg, sim, thetas, pool) if simulate else None for cfg in configs]
+        for cfg, sim_run in zip(configs, runs):
+            mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
+            print(
+                f"== n_users={cfg.n_users} gamma_r={cfg.profile.gamma_r} radius={cfg.disk.radius} "
+                f"alpha={cfg.channel.alpha} beta={cfg.channel.beta} =="
             )
+            print("  " + "  ".join(f"{name[2:].upper().replace('_', '-')}={getattr(mp, name):.6f}" for name in MODE_FIELDS))
+            print(f"  P-TX={mp.p_tx:.6f}")
+
+            curve_a = success_curve(cfg, thetas, quad, spec.si_model) if analytic else None
+            curve_s = None
+            if simulate:
+                curve_s, report = _collect(sim_run)
+                freqs = report.mode_frequencies
+                print("  simulated mode frequencies: " + "  ".join(
+                    f"{mode.name.replace('_', '-')}={freqs[mode]:.6f}" for mode in Mode
+                ))
+            if analytic and simulate:
+                gap = float(np.max(np.abs(curve_a.p_total - curve_s.p_total)))
+                at_db = float(thetas_db[int(np.argmax(np.abs(curve_a.p_total - curve_s.p_total)))])
+                print(f"  max |p_total_analytic - p_total_sim| = {gap:.6f} at theta_db={at_db:g}")
+                gap_overall = gap if gap_overall is None else max(gap_overall, gap)
+
+            p_cache = float((curve_a or curve_s).p_cache)
+            for i, theta_db in enumerate(thetas_db):
+                rows.append(
+                    {
+                        "theta_db": _fmt(float(theta_db)),
+                        "theta_linear": _fmt(float(thetas[i])),
+                        "p_cache": _fmt(p_cache),
+                        "p_sir_analytic": _fmt(float(curve_a.p_sir[i])) if curve_a is not None else "",
+                        "p_total_analytic": _fmt(float(curve_a.p_total[i])) if curve_a is not None else "",
+                        "p_total_sim": _fmt(float(curve_s.p_total[i])) if curve_s is not None else "",
+                        "ci_halfwidth": _fmt(float(curve_s.ci_halfwidth[i])) if curve_s is not None else "",
+                        "n_users": _fmt(cfg.n_users),
+                        "gamma_r": _fmt(cfg.profile.gamma_r),
+                        "radius": _fmt(cfg.disk.radius),
+                        "alpha": _fmt(cfg.channel.alpha),
+                        "beta": _fmt(cfg.channel.beta),
+                        "trials": _fmt(spec.trials) if simulate else "",
+                        "seed": _fmt(spec.seed) if simulate else "",
+                    }
+                )
 
     try:
         with open(spec.output_path, "w", newline="", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ __all__ = [
     "PopularityProfile",
     "build_zipf",
     "hitting_probability",
+    "request_of_uniform",
     "sample_request",
 ]
 
@@ -86,7 +87,7 @@ def hitting_probability(profile: PopularityProfile, n_users: int) -> float:
 def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
     """Draw content requests from the popularity distribution.
 
-    Inverse-CDF lookup over the stored prefix sums, O(log m) per draw.
+    One uniform draw per request, mapped by :func:`request_of_uniform`.
 
     Parameters
     ----------
@@ -101,10 +102,15 @@ def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=No
     int or ndarray
         Content indices in ``1..m``.
     """
-    u = rng.random(size)
+    requests = request_of_uniform(profile, rng.random(size))
+    return int(requests) if size is None else requests
+
+
+def request_of_uniform(profile: PopularityProfile, u):
+    """1-based content indices of uniform variates ``u`` in [0, 1).
+
+    Inverse-CDF lookup over the stored prefix sums, O(log m) per variate.
+    """
     idx = np.searchsorted(profile.p_hit_prefix, u, side="left")
     # prefix[-1] may round a hair below 1; u just under 1 must still map to m
-    idx = np.minimum(idx, profile.m - 1)
-    if size is None:
-        return int(idx) + 1
-    return idx + 1
+    return np.minimum(idx, profile.m - 1) + 1

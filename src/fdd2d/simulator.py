@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
@@ -11,7 +12,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve
-from .popularity import sample_request
+from .popularity import request_of_uniform
 
 __all__ = [
     "Mode",
@@ -139,8 +140,63 @@ def classify_modes(requests, n_users: int):
     return modes, transmitters
 
 
-def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(xor, multiply) constants of ``count`` successive SeedSequence hash steps, shape (2, count, 1)."""
+    steps = []
+    for _ in range(count):
+        steps.append((init, init * mult & _MASK32))
+        init = steps[-1][1]
+    return np.array(steps, dtype=np.uint32).T[:, :, None]
+
+
+# numpy's SeedSequence with its default pool of 4 words: the constants of
+# the 16 hash steps that mix the entropy into the pool, the 8 that expand
+# the pool into PCG64's four 64-bit seed words, and the mix multipliers.
+# A hash step's constants do not depend on the data, so every trial of a
+# block takes the same steps at once.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(words, constants):
+    words = (words ^ constants[0]) * constants[1]
+    return words ^ (words >> 16)
+
+
+def _pcg64_seeds(master_seed: int, start: int, stop: int) -> list:
+    """PCG64 ``(state, inc)`` of trials ``[start, stop)``, as ``SeedSequence((master_seed, t))`` seeds them.
+
+    The entropy is the 32-bit little-endian words of ``master_seed`` then
+    of ``t`` (one word for 0), at most four, so it fits the pool, and a
+    missing word hashes as 0.  Then the pool is mixed, expanded by
+    ``generate_state(4, uint64)`` and fed to PCG64's set-seed step.
+    """
+    master_seed = int(master_seed)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    seed_words = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    pool = np.zeros((4, trials.size), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = trials & _MASK32
+    pool[len(seed_words) + 1] = trials >> 32
+    pool = _hashmix(pool, _POOL_HASH[:, :4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _POOL_HASH[:, 4 + 3 * src:7 + 3 * src]) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    seeds = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        seeds.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return seeds
 
 
 class _Block(NamedTuple):
@@ -155,12 +211,15 @@ class _Block(NamedTuple):
 def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> _Block:
     """Drop and evaluate the networks of trials ``[start, stop)``.
 
-    Trial ``t`` draws from its own ``SeedSequence((master_seed, t))`` stream
-    in a fixed order: radii and angles, requests, the fading matrix
-    ``fading[i, j]`` of the directed link from user ``i`` to user ``j``
-    (unit-mean exponential, row by row), then the serve-target picks.  Only
-    the rows of transmitters are kept, since only they carry signal or
-    interference.  Everything else runs once for the whole block.
+    Trial ``t`` draws from its own ``SeedSequence((master_seed, t))`` PCG64
+    stream in a fixed order: radii, angles and requests (``n`` uniforms
+    each), the fading matrix ``fading[i, j]`` of the directed link from user
+    ``i`` to user ``j`` (unit-mean exponential, row by row), then the
+    serve-target picks.  One generator serves the whole block: it is set to
+    each trial's seeded state in turn, once for the uniforms and once more,
+    advanced past them, for the fading and the picks.  Only the rows of
+    transmitters are kept, since only they carry signal or interference.
+    Everything else runs once for the whole block.
 
     User ``k`` (0-based) caches content ``k + 1``.  Each transmitter serves
     one of the users requesting its content, picked uniformly, and inverts
@@ -174,16 +233,24 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     n = cfg.n_users
     alpha = cfg.channel.alpha
     count = stop - start
-    rngs = [_trial_rng(sim.master_seed, t) for t in range(start, stop)]
-    u_radius = np.empty((count, n))
-    u_angle = np.empty((count, n))
-    requests = np.empty((count, n), dtype=np.int64)
-    for b, rng in enumerate(rngs):
-        rng.random(out=u_radius[b])
-        rng.random(out=u_angle[b])
-        requests[b] = sample_request(cfg.profile, rng, size=n)
-    radii = cfg.disk.radius * np.sqrt(u_radius)
-    angles = 2.0 * np.pi * u_angle
+    seeds = _pcg64_seeds(sim.master_seed, start, stop)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+
+    def seed(b):
+        seeded["state"], seeded["inc"] = seeds[b]
+        bit_generator.state = state
+
+    uniforms = np.empty((count, 3, n))
+    for b in range(count):
+        seed(b)
+        rng.random(out=uniforms[b])
+    radii = cfg.disk.radius * np.sqrt(uniforms[:, 0])
+    angles = 2.0 * np.pi * uniforms[:, 1]
+    requests = request_of_uniform(cfg.profile, uniforms[:, 2])
+    del uniforms
     x = (radii * np.cos(angles)).ravel()
     y = (radii * np.sin(angles)).ravel()
 
@@ -197,7 +264,9 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     fading = np.empty((tx_flat.size, n))
     picks = np.empty((count, n))
     chunk = max(1, _BLOCK_BYTES // (8 * n))
-    for b, rng in enumerate(rngs):
+    for b in range(count):
+        seed(b)
+        bit_generator.advance(3 * n)
         first = row_start[b]
         users = row_user[first:row_start[b + 1]]
         for lo in range(0, n, chunk):
@@ -280,10 +349,13 @@ def _block_stats(args):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count for trial blocks; FD_D2D_THREADS, a positive integer, caps the default."""
+    """Worker count for trial blocks: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
     if workers is not None:
         return max(1, int(workers))
-    available = os.cpu_count() or 1
+    try:
+        available = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        available = os.cpu_count() or 1
     cap = os.environ.get("FD_D2D_THREADS")
     if cap:
         if not cap.strip().isdecimal() or int(cap) < 1:
@@ -292,40 +364,62 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return available
 
 
-def run_experiment(cfg: ModelConfig, sim: SimConfig, thetas, workers: Optional[int] = None):
-    """Estimate the success curve and mode statistics over ``sim.trials`` networks.
+def _task_bounds(sim: SimConfig) -> list:
+    """``(start, stop)`` of each pool task of a run: _TRIALS_PER_BLOCK trials, the last one fewer."""
+    starts = range(0, sim.trials, _TRIALS_PER_BLOCK)
+    return [(a, min(a + _TRIALS_PER_BLOCK, sim.trials)) for a in starts]
 
-    Every trial is seeded from ``(master_seed, trial_index)`` and the
-    aggregation is exact integer counting, so results are bit-identical for
-    any worker count and any execution order.
 
-    Returns
-    -------
-    (SuccessCurve, ModeFrequencyReport)
-        Curve with 95% normal confidence half-widths; the report carries the
-        empirical operating-mode counts and the transmitter-count histogram.
+@contextmanager
+def _pool(workers: int, tasks: int):
+    """A process pool of ``min(workers, tasks)`` workers, or None to run blocks in this process.
+
+    On exit, blocks not yet started are cancelled and the workers are joined.
     """
+    size = min(workers, tasks)
+    if size <= 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+class _Deferred:
+    """A block task that runs in this process when its result is read."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def result(self):
+        return _block_stats(self.task)
+
+
+def _submit(cfg: ModelConfig, sim: SimConfig, thetas, pool: Optional[ProcessPoolExecutor]):
+    """Check the thresholds and hand the run's block tasks to ``pool`` (None defers them to collect time)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     if thetas.size == 0 or np.any(~np.isfinite(thetas)) or np.any(thetas <= 0):
         raise ValueError("thetas must be positive and finite")
     if np.any(np.diff(thetas) < 0):
         raise ValueError("thetas must be sorted ascending")
 
-    bounds = list(range(0, sim.trials, _TRIALS_PER_BLOCK)) + [sim.trials]
-    tasks = [(cfg, sim, thetas, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    n_workers = min(resolve_workers(workers), len(tasks))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_block_stats, tasks, chunksize=1))
-    else:
-        results = [_block_stats(t) for t in tasks]
+    tasks = [(cfg, sim, thetas, a, b) for a, b in _task_bounds(sim)]
+    pending = [_Deferred(t) if pool is None else pool.submit(_block_stats, t) for t in tasks]
+    return cfg, sim, thetas, pending
 
+
+def _collect(submitted):
+    """Add up a submitted run's block counts into its curve and mode report."""
+    cfg, sim, thetas, pending = submitted
     succ = np.zeros(len(thetas), dtype=np.int64)
     cache_succ = 0
     samples = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(cfg.n_users + 1, dtype=np.int64)
-    for b_succ, b_cache, b_samples, b_modes, b_tx in results:
+    for block in pending:
+        b_succ, b_cache, b_samples, b_modes, b_tx = block.result()
         succ += b_succ
         cache_succ += b_cache
         samples += b_samples
@@ -350,3 +444,20 @@ def run_experiment(cfg: ModelConfig, sim: SimConfig, thetas, workers: Optional[i
         n_users=cfg.n_users,
     )
     return curve, report
+
+
+def run_experiment(cfg: ModelConfig, sim: SimConfig, thetas, workers: Optional[int] = None):
+    """Estimate the success curve and mode statistics over ``sim.trials`` networks.
+
+    Every trial is seeded from ``(master_seed, trial_index)`` and the
+    aggregation is exact integer counting, so results are bit-identical for
+    any worker count and any execution order.
+
+    Returns
+    -------
+    (SuccessCurve, ModeFrequencyReport)
+        Curve with 95% normal confidence half-widths; the report carries the
+        empirical operating-mode counts and the transmitter-count histogram.
+    """
+    with _pool(resolve_workers(workers), len(_task_bounds(sim))) as pool:
+        return _collect(_submit(cfg, sim, thetas, pool))

@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -292,13 +293,52 @@ def test_unwritable_output_exits_3(tmp_path):
     assert "cannot write" in result.stderr
 
 
+QUICK_NODES = ["--quad-nodes", "v=8,t=8,z0=8,angle=12,zi=8"]
+
+
 def test_worker_env_does_not_change_results(tmp_path):
-    args = ["--mode", "simulate", "--n-users", "6", "--theta-db", "0:6:6",
-            "--trials", "2100", "--seed", "4"]
-    a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert run_cli(args + ["--out", str(a)], {"FD_D2D_THREADS": "1"}).returncode == 0
-    assert run_cli(args + ["--out", str(b)], {"FD_D2D_THREADS": "2"}).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+    for name, args in (
+        ("simulate", ["--mode", "simulate", "--n-users", "6", "--theta-db", "0:6:6",
+                      "--trials", "2100", "--seed", "4"]),
+        # the points of a sweep share one pool while the analytic curves are computed
+        ("both", ["--mode", "both", "--n-users", "3", "--sweep", "n_users=3,6", "--theta-db", "0:6:6",
+                  "--trials", "2100", "--seed", "4", *QUICK_NODES]),
+    ):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-w{threads}.csv"
+            result = run_cli(args + ["--out", str(out)], {"FD_D2D_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            stdout = [line for line in result.stdout.splitlines() if not line.startswith("wrote ")]
+            outputs.append((out.read_bytes(), stdout))
+        assert outputs[0] == outputs[1], name
+
+
+def pool_run_args(out):
+    return ["--mode", "both", "--n-users", "4", "--theta-db", "0:0:1", "--trials", "3000",
+            *QUICK_NODES, "--out", str(out)]
+
+
+def test_pool_is_shut_down_on_output_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("FD_D2D_THREADS", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(pool_run_args(tmp_path / "missing" / "out.csv"))
+    assert exc.value.code == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_is_shut_down_when_a_curve_fails(tmp_path, monkeypatch):
+    # the blocks still queued are cancelled and the workers joined
+    def fail(*args, **kwargs):
+        raise RuntimeError("curve failed")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("FD_D2D_THREADS", "2")
+    monkeypatch.setattr("fdd2d.cli.success_curve", fail)
+    with pytest.raises(RuntimeError, match="curve failed"):
+        main(pool_run_args(tmp_path / "out.csv"))
+    assert multiprocessing.active_children() == []
 
 
 def test_theta_grid_endpoint_inclusion():

@@ -15,7 +15,7 @@ from fdd2d import (
     compute_mode_probabilities,
     run_experiment,
 )
-from fdd2d.simulator import RECEIVING_MODES, _block_stats, _simulate_block
+from fdd2d.simulator import RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block, resolve_workers
 from oracles import block_stats, link_sir, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
@@ -329,6 +329,45 @@ def test_block_of_one_replays_oracle_trial_bitwise(n_users):
                     np.testing.assert_array_equal(block.serve_target[0], real.serve_target)
                     # same bits, so NaN and inf sit in the same places
                     np.testing.assert_array_equal(block.sir[0].view(np.uint64), sir.view(np.uint64))
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+TRIAL_EDGES = [0, 1, 1023, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("master_seed", SEED_EDGES)
+def test_block_seeds_equal_seed_sequence(master_seed):
+    # one and two 32-bit words of entropy on either side; each block also
+    # holds the trials next to the edge
+    for trial in TRIAL_EDGES:
+        start = max(0, trial - 1)
+        seeds = _pcg64_seeds(master_seed, start, trial + 2)
+        for t, seed in zip(range(start, trial + 2), seeds):
+            state = np.random.PCG64(np.random.SeedSequence((master_seed, t))).state["state"]
+            assert seed == (state["state"], state["inc"]), (master_seed, t)
+
+
+def test_block_counts_equal_oracle_across_trial_2_to_the_32():
+    # the trial index grows from one entropy word to two inside the block
+    cfg = gate_config(10, 1.2, 1e-2)
+    args = (cfg, SimConfig(trials=1, master_seed=2**63), GATE_THETAS, 2**32 - 20, 2**32 + 20)
+    assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+def test_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a larger host runs one worker
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.delenv("FD_D2D_THREADS", raising=False)
+    assert resolve_workers() == 1
+    monkeypatch.setenv("FD_D2D_THREADS", "4")
+    assert resolve_workers() == 1
+    # without an affinity call, the CPU count
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setenv("FD_D2D_THREADS", "4")
+    assert resolve_workers() == 4
+    monkeypatch.delenv("FD_D2D_THREADS")
+    assert resolve_workers() == 64
 
 
 def traced_peak(fn, *args):
