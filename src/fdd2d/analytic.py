@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional
@@ -43,14 +45,25 @@ SI_PER_INTERFERER = "per-interferer"
 SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
-# Bytes of the one work buffer that a curve, or a kernel evaluation, allocates
-# per call.  The kernel tile and the count average run in v-chunks that fit it
-# (at least one v row each), so peak memory stays bounded whatever node counts
-# are asked for.  Reusing one buffer instead of a fresh block per chunk keeps
-# large temporaries out of the allocator and its page faults.  Of 0.5, 1, 2, 3
-# and 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest: the
-# default count average then fits one chunk, and larger buffers only add RSS.
+# Bytes of the one work buffer that a curve allocates per call.  The kernel
+# threads each build in their own tile-sized slice of it, and the count average
+# runs in v-chunks that fit it (at least one v row each), so peak memory stays
+# bounded whatever node counts and CPU count there are.  Reusing one buffer
+# instead of a fresh block per chunk keeps large temporaries out of the
+# allocator and its page faults.  Of 0.5, 1, 2, 3 and 4 MiB, 2 MiB is the
+# smallest at which the radius sweep is fastest: the default count average
+# then fits one chunk, and larger buffers only add RSS.
 _WORK_BYTES = 2 << 20
+
+# Bytes of one kernel tile: the (zi, v*angle) block of one interferer offset t
+# for as many v rows as fit (at least one).  At default nodes every v row fits
+# in 454 KB, which stays in L2; halving the rows cost 6% of the kernel time.
+# The rows do not depend on the thread count, so neither do the kernel's bits,
+# and up to _WORK_BYTES // _TILE_BYTES threads build kernels at once.
+_TILE_BYTES = 512 << 10
+
+# Kernels an evaluator caches, and so the most a curve builds, and holds, at once.
+_KERNEL_CACHE = 4096
 
 # Soft budget of integrand evaluations per transform: over it, a warning.
 _EVALUATION_BUDGET = 10**9
@@ -140,9 +153,10 @@ class _LaplaceEvaluator:
         phi, phi_wts = panel_rule(0.0, np.pi, n_phi)
         self.phi_weight = phi_wts / np.pi
         # Law of cosines for the interferer distance wi, whose alpha-th power
-        # k_grid builds per v-chunk: wi**2 = v**2 + t**2 - 2*v*t*cos(phi).
-        self.vt_sq = v_nodes[:, None] ** 2 + t_nodes[None, :] ** 2
-        self.two_vt = 2.0 * np.outer(v_nodes, t_nodes)
+        # each kernel tile builds: wi**2 = v**2 + t**2 - 2*v*t*cos(phi).  The
+        # (t, v) layout gives a tile its v-chunk as one contiguous row.
+        self.vt_sq = t_nodes[:, None] ** 2 + v_nodes[None, :] ** 2
+        self.two_vt = 2.0 * np.outer(t_nodes, v_nodes)
         self.cos_phi = np.cos(phi)
         self.alpha = alpha
 
@@ -151,65 +165,110 @@ class _LaplaceEvaluator:
 
         self.grid_evaluations = n_v * n_phi * self.zi_pow.size
         self.z0_evaluations = self.z0_pow.size
-        # Floats one v row takes: the kernel tile, its einsum and wi**alpha,
-        # and the per-interferer count average (SI row, K*e product,
-        # _count_sum scratch).
+        # Floats one v row takes: in a kernel tile (the (zi, angle) block,
+        # wi**alpha and its zi reduction), and in the per-interferer count
+        # average (SI row, K*e product, _count_sum scratch).
         n_tz = n_t * self.z0_pow.shape[1]
-        self.kernel_row = n_t * n_phi * (self.zi_pow.shape[1] + 2)
+        kernel_row = n_phi * (self.zi_pow.shape[1] + 2)
+        self.tile_rows = max(1, min(n_v, _TILE_BYTES // (8 * kernel_row)))
+        self.tile_floats = self.tile_rows * kernel_row
         self.count_row = self.z0_pow.shape[1] + n_tz + _count_sum_scratch(n_tz)
         self._k_cache: dict = {}
 
     def work_buffer(self) -> np.ndarray:
-        """One call's scratch: _WORK_BYTES, or more if one v row of either pass needs it."""
+        """One call's scratch: _WORK_BYTES, or more if one kernel tile or one v row of the count average needs it."""
         n_vt = self.vt_weight.size
-        return np.empty(max(_WORK_BYTES // 8, self.kernel_row, 2 * n_vt + self.count_row))
+        return np.empty(max(_WORK_BYTES // 8, self.tile_floats, 2 * n_vt + self.count_row))
 
-    def k_grid(self, s: float, work: Optional[np.ndarray] = None) -> np.ndarray:
-        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid.
-
-        A kernel not yet cached is computed in v-chunks inside ``work``
-        (a fresh :meth:`work_buffer` if none is given).
-        """
+    def k_grid(self, s: float) -> np.ndarray:
+        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid, cached per s."""
         key = float(s)
         cached = self._k_cache.get(key)
-        if cached is not None:
-            return cached
-        if work is None:
-            work = self.work_buffer()
-        n_v, n_t = self.vt_weight.shape
-        n_phi, n_zi = self.phi_weight.size, self.zi_pow.shape[1]
-        step = max(1, work.size // self.kernel_row)
-        s_zi = s * self.zi_pow[:, None, :]
-        k = np.empty((n_v, n_t))
-        for i in range(0, n_v, step):
-            j = min(i + step, n_v)
-            damp = work[: (j - i) * n_t * n_phi * n_zi].reshape(j - i, n_t, n_phi, n_zi)
-            inner, w = work[damp.size : damp.size + 2 * (j - i) * n_t * n_phi].reshape(2, j - i, n_t, n_phi)
-            np.multiply(self.two_vt[i:j, :, None], self.cos_phi, out=w)
-            np.subtract(self.vt_sq[i:j, :, None], w, out=w)
-            np.maximum(w, 0.0, out=w)
-            np.power(w, self.alpha / 2.0, out=w)
-            w = w[..., None]
-            np.add(w, s_zi, out=damp)
-            np.divide(w, damp, out=damp)
-            np.einsum("vtpk,tk->vtp", damp, self.zi_wts, out=inner)
-            np.matmul(inner, self.phi_weight, out=k[i:j])
-        k.setflags(write=False)
-        if len(self._k_cache) > 4096:
-            self._k_cache.clear()
-        self._k_cache[key] = k
-        return k
+        return cached if cached is not None else self._build_kernels([key], np.empty(self.tile_floats))[0]
 
-    def count_average(self, s, scale, g, si_model, work) -> tuple:
-        """HDRX and FDTR transforms averaged over the transmitter-count law with generating function g.
+    def kernels(self, ss, work: np.ndarray) -> dict:
+        """The kernel of each s in ``ss``, keyed by ``float(s)``.
 
-        ``g(x) = sum over n >= 1 of P(n) * x**(n - 1)``, evaluated elementwise
-        in place as ``g(x, scratch)`` (see :func:`_count_sum`): ``n - 1``
-        interferers raise the kernel, and under the per-interferer SI model
-        also the SI factor, to that power.  Everything runs in v-chunks inside
-        ``work``, a :meth:`work_buffer`.
+        Kernels not cached are built in up to :func:`resolve_workers` parts,
+        part ``p`` taking every ``parts``-th missing s from the ``p``-th and
+        building them in its own tile-sized slice of ``work``, a
+        :meth:`work_buffer`.  This thread builds part 0 and one new thread
+        each other part; the tiles do not depend on the part count, so
+        neither do the kernels.  Every new thread has ended when this returns.
         """
-        k = self.k_grid(s, work)
+        found = {s: self._k_cache.get(s) for s in map(float, ss)}
+        missing = [s for s, k in found.items() if k is None]
+        parts = 1
+        if len(missing) > 1:
+            parts = min(resolve_workers(), len(missing), work.size // self.tile_floats)
+
+        def build(p):
+            part = missing[p::parts]
+            tile = work[p * self.tile_floats : (p + 1) * self.tile_floats]
+            found.update(zip(part, self._build_kernels(part, tile)))
+
+        if parts == 1:
+            build(0)
+            return found
+        with ThreadPoolExecutor(parts - 1) as pool:
+            others = [pool.submit(build, p) for p in range(1, parts)]
+            build(0)
+            for part in others:
+                part.result()
+        return found
+
+    def _build_kernels(self, ss: list, tile: np.ndarray) -> list:
+        """Compute and cache the kernel at each s of ``ss`` in (zi, v*angle) tiles inside ``tile``.
+
+        Per interferer offset t and chunk of v rows, wi**alpha is one row,
+        built once for every s; each s then fills the tile with that row plus
+        the column s*zi**alpha, and reduces it over zi and the angle.  Building
+        the row once keeps its small array operations, each of which hands
+        the interpreter lock to another kernel thread, out of the loop over s
+        (41 kernels on two threads: 142-163 ms with the row built per s,
+        110-127 ms with it built once).
+        """
+        n_t, n_v = self.vt_sq.shape
+        n_phi, n_zi = self.cos_phi.size, self.zi_pow.shape[1]
+        ks = [np.empty((n_v, n_t)) for _ in ss]
+        for t in range(n_t):
+            for i in range(0, n_v, self.tile_rows):
+                j = min(i + self.tile_rows, n_v)
+                m = (j - i) * n_phi
+                damp = tile[: n_zi * m].reshape(n_zi, m)
+                w, inner = tile[damp.size : damp.size + 2 * m].reshape(2, j - i, n_phi)
+                np.multiply(self.two_vt[t, i:j, None], self.cos_phi, out=w)
+                np.subtract(self.vt_sq[t, i:j, None], w, out=w)
+                np.maximum(w, 0.0, out=w)
+                np.power(w, self.alpha / 2.0, out=w)
+                row = w.reshape(m)
+                for s, k in zip(ss, ks):
+                    # copying the row into every zi row, then adding the
+                    # column, beats numpy's broadcast of a row against a
+                    # column by 12%
+                    np.copyto(damp, row)
+                    np.add(damp, (s * self.zi_pow[t])[:, None], out=damp)
+                    np.divide(row, damp, out=damp)
+                    np.matmul(self.zi_wts[t], damp, out=inner.reshape(m))
+                    np.matmul(inner, self.phi_weight, out=k[i:j, t])
+        for s, k in zip(ss, ks):
+            k.setflags(write=False)
+            # unlocked: threads racing here can only clear twice, or overshoot
+            # the cap by one kernel each
+            if len(self._k_cache) >= _KERNEL_CACHE:
+                self._k_cache.clear()
+            self._k_cache[s] = k
+        return ks
+
+    def count_average(self, k, s, scale, g, si_model, work) -> tuple:
+        """HDRX and FDTR transforms at ``s`` averaged over the transmitter-count law with generating function g.
+
+        ``k`` is the kernel at ``s``.  ``g(x) = sum over n >= 1 of P(n) *
+        x**(n - 1)``, evaluated elementwise in place as ``g(x, scratch)`` (see
+        :func:`_count_sum`): ``n - 1`` interferers raise the kernel, and under
+        the per-interferer SI model also the SI factor, to that power.
+        Everything runs in v-chunks inside ``work``, a :meth:`work_buffer`.
+        """
         n_v, n_t = k.shape
         n_z = self.z0_pow.shape[1]
         g_k, fdtr = work[: 2 * k.size].reshape((2,) + k.shape)
@@ -233,6 +292,22 @@ class _LaplaceEvaluator:
         np.multiply(self.vt_weight, g_k, out=g_k)
         np.multiply(self.vt_weight, fdtr, out=fdtr)
         return float(np.sum(g_k)), float(np.sum(fdtr))
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Worker count for kernel threads and trial blocks: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
+    if workers is not None:
+        return max(1, int(workers))
+    try:
+        available = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        available = os.cpu_count() or 1
+    cap = os.environ.get("FD_D2D_THREADS")
+    if cap:
+        if not cap.strip().isdecimal() or int(cap) < 1:
+            raise ValueError(f"FD_D2D_THREADS must be a positive integer, got {cap!r}")
+        available = min(available, int(cap))
+    return available
 
 
 def _link_nodes(offsets, nodes: int, alpha: float):
@@ -382,7 +457,9 @@ def success_curve(
     """Analytic success curve over an ascending grid of positive thresholds.
 
     The unit-disk kernel K is computed once per threshold for every radius,
-    beta and user count.  The binomial transmitter count is summed in closed
+    beta and user count; the kernels a curve lacks are built first, on one
+    thread per usable CPU (capped by ``FD_D2D_THREADS``), and the values do
+    not depend on the thread count.  The binomial transmitter count is summed in closed
     form by G(x) = sum_{n>=1} pmf[n] x**(n-1): HDRX receivers, and FDTR ones
     under the single SI model, take G(K); per-interferer FDTR receivers take
     sum_k z0_w G(K*e_k) with e_k = exp(-theta*beta*R**alpha*z0_k**alpha).
@@ -399,10 +476,16 @@ def success_curve(
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
     binomial = partial(_count_sum, p_tx=mp.p_tx, n_users=cfg.n_users)
     work = ev.work_buffer()
+    values = thetas.tolist()
     p_sir = np.empty(thetas.size)
-    for i, theta in enumerate(thetas.tolist()):
-        hdrx, fdtr = ev.count_average(theta, scale, binomial, si_model, work)
-        p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
+    # a batch's kernels are built on every CPU, then held here, out of reach of
+    # a cache clear, while the count averages run serially on them
+    for lo in range(0, len(values), _KERNEL_CACHE):
+        batch = values[lo : lo + _KERNEL_CACHE]
+        kernels = ev.kernels(batch, work)
+        for i, theta in enumerate(batch, lo):
+            hdrx, fdtr = ev.count_average(kernels[theta], theta, scale, binomial, si_model, work)
+            p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
     return SuccessCurve(
         thetas=thetas,
         p_cache=p_cache,

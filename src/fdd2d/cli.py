@@ -16,13 +16,14 @@ from .analytic import (
     SI_PER_INTERFERER,
     ChannelConfig,
     ModelConfig,
+    resolve_workers,
     success_curve,
 )
 from .geometry import DiskConfig
 from .modes import MODE_FIELDS, compute_mode_probabilities
 from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
-from .simulator import Mode, SimConfig, _collect, _pool, _submit, _task_bounds, resolve_workers
+from .simulator import Mode, SimConfig, _collect, _pool, _submit, _task_bounds
 
 __all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
 
@@ -282,11 +283,10 @@ def parse_args(argv=None) -> ExperimentSpec:
 
     if args.mode not in RUN_MODES:
         error(f"--mode must be one of {RUN_MODES}, got {args.mode!r}")
-    if args.mode != "analytic":
-        try:
-            resolve_workers()
-        except ValueError as exc:
-            error(str(exc))
+    try:
+        resolve_workers()
+    except ValueError as exc:
+        error(str(exc))
     if args.si_model not in SI_MODELS:
         error(f"--si-model must be one of {SI_MODELS}, got {args.si_model!r}")
     if args.n_users is None:

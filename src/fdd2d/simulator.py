@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve
+from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, resolve_workers
 from .popularity import request_of_uniform
 
 __all__ = [
@@ -346,22 +345,6 @@ def _block_stats(args):
         succ += cache + sir.size - np.searchsorted(sir, thetas, side="left")
         cache_succ += cache
     return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count for trial blocks: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
-    if workers is not None:
-        return max(1, int(workers))
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        available = os.cpu_count() or 1
-    cap = os.environ.get("FD_D2D_THREADS")
-    if cap:
-        if not cap.strip().isdecimal() or int(cap) < 1:
-            raise ValueError(f"FD_D2D_THREADS must be a positive integer, got {cap!r}")
-        available = min(available, int(cap))
-    return available
 
 
 def _task_bounds(sim: SimConfig) -> list:

@@ -15,6 +15,9 @@
 - The allocating closed-form transmitter-count sum :func:`count_sum` that
   the package's in-place ``_count_sum`` must equal bit for bit, and
   :func:`package_count_sum`, which runs the package's on a copy.
+- :func:`reference_k_grid`, the unit-disk kernel ``K(v, t; s)`` evaluated
+  v-major on the package's nodes, that the package's tiled kernel must
+  match to rounding.
 
 The samplers and Monte Carlo oracles draw raw geometry directly (polar disk
 draws, explicit angle draws), and the integrator does not use the package's
@@ -34,12 +37,15 @@ from scipy.special import roots_legendre
 from fdd2d import (
     SI_MODELS,
     SI_PER_INTERFERER,
+    DiskConfig,
     ModelConfig,
     Mode,
     QuadratureWarning,
     classify_modes,
+    link_distance_nodes,
     sample_request,
 )
+from fdd2d.quadrature import panel_rule
 from fdd2d.simulator import CACHE_MODES, FD_MODES, RECEIVING_MODES
 
 
@@ -431,36 +437,46 @@ def mc_laplace(s, delta, n_t, radius, alpha, beta, n_samples, seed,
     Mirrors the integrand structure exactly: one (v, t) pair per sample, the
     ``n_t - 1`` interferer factors drawn i.i.d. given that shared t, and for
     full-duplex receivers the self-interference factor drawn from the serving
-    distance given v.
+    distance given v.  The draws do not depend on ``s``, so a tuple of ``s``
+    values shares each chunk's draws, and each value gets the estimate it
+    would get alone.
 
     Returns
     -------
-    (mean, sem)
+    (mean, sem), or a list of them, one per value, for a tuple ``s``
     """
+    ss = s if isinstance(s, tuple) else (s,)
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
+    total = [0.0] * len(ss)
+    total_sq = [0.0] * len(ss)
     done = 0
     while done < n_samples:
         b = min(chunk, n_samples - done)
         v = disk_offsets(rng, radius, b)
         t = disk_offsets(rng, radius, b)
-        prod = np.ones(b)
+        prods = [np.ones(b) for _ in ss]
         for _ in range(n_t - 1):
             z = distance_to_uniform_point(rng, radius, t, b)
             phi = np.pi * rng.random(b)
             w = np.sqrt(v**2 + t**2 - 2.0 * v * t * np.cos(phi))
-            prod *= 1.0 / (1.0 + s * (z / w) ** alpha)
+            ratio = (z / w) ** alpha
+            for prod, s_j in zip(prods, ss):
+                prod *= 1.0 / (1.0 + s_j * ratio)
         if delta == "FDTR":
-            z0 = distance_to_uniform_point(rng, radius, v, b)
+            z0_pow = distance_to_uniform_point(rng, radius, v, b) ** alpha
             n_si = (n_t - 1) if si_model == "per-interferer" else 1
-            prod *= np.exp(-n_si * s * beta * z0**alpha)
-        total += prod.sum()
-        total_sq += (prod**2).sum()
+            for prod, s_j in zip(prods, ss):
+                prod *= np.exp(-n_si * s_j * beta * z0_pow)
+        for j, prod in enumerate(prods):
+            total[j] += prod.sum()
+            total_sq[j] += (prod**2).sum()
         done += b
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0)
-    return mean, np.sqrt(var / n_samples)
+    estimates = []
+    for tot, tot_sq in zip(total, total_sq):
+        mean = tot / n_samples
+        var = max(tot_sq / n_samples - mean**2, 0.0)
+        estimates.append((mean, np.sqrt(var / n_samples)))
+    return estimates if isinstance(s, tuple) else estimates[0]
 
 
 def mc_sir_success(theta, n_users, p_tx, p_hdrx, p_fdtr, radius, alpha, beta,
@@ -570,3 +586,26 @@ def package_count_sum(x, p_tx: float, n_users: int):
 
     out = np.array(x, dtype=np.float64)
     return _count_sum(out, np.empty(_count_sum_scratch(out.size)), p_tx, n_users)
+
+
+def reference_k_grid(alpha: float, nodes: dict, s: float):
+    """Unit-disk kernel K(v, t; s) on the (v, t) grid, one receiver offset v at a time.
+
+    The inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha):
+    for each v, the (t, angle, zi) block of the integrand is reduced over zi
+    by einsum, then over the bearing angle.  Node counts per level as in
+    ``QuadratureSpec.nodes_per_level``.
+    """
+    v, _ = panel_rule(0.0, 1.0, nodes["v"])
+    t, _ = panel_rule(0.0, 1.0, nodes["t"])
+    phi, phi_wts = panel_rule(0.0, np.pi, nodes["angle"])
+    rows = [link_distance_nodes(float(q), DiskConfig(1.0), nodes["zi"]) for q in t]
+    zi_pow = np.stack([z for z, _ in rows]) ** alpha
+    zi_wts = np.stack([w for _, w in rows])
+    k = np.empty((v.size, t.size))
+    for i, vi in enumerate(v):
+        wi_sq = (vi**2 + t**2)[:, None] - (2.0 * vi * t)[:, None] * np.cos(phi)
+        w = np.maximum(wi_sq, 0.0)[..., None] ** (alpha / 2.0)
+        damp = w / (w + s * zi_pow[:, None, :])
+        k[i] = np.einsum("tpk,tk->tp", damp, zi_wts) @ (phi_wts / np.pi)
+    return k

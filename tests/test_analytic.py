@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -227,6 +230,17 @@ def test_wide_disk_sweep_is_monotone():
     assert np.all((curve.p_total >= 0) & (curve.p_total <= 1))
 
 
+EIGHT_CPUS = set(range(8))
+
+
+def _cold_curve(cfg, thetas, si_model):
+    """``success_curve`` on a fresh shared evaluator, so that it builds every kernel."""
+    from fdd2d.analytic import _unit_evaluator
+
+    _unit_evaluator.cache_clear()
+    return success_curve(cfg, thetas, si_model=si_model)
+
+
 def _per_count_mixture(cfg, thetas, si_model):
     """Reference SIR part: sum over every transmitter count n of pmf[n] times the per-count transforms."""
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
@@ -328,27 +342,32 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
             return np.power(x, n_t - 1, out=x)
 
         for s in (0.0, 0.1, 1.0, 10.0, 1000.0):
-            hdrx, fdtr = ev.count_average(s, scale, point_mass, si_model, work)
+            hdrx, fdtr = ev.count_average(ev.k_grid(s), s, scale, point_mass, si_model, work)
             assert abs(laplace_interference(s, HDRX, n_t, CFG, si_model=si_model) - hdrx) <= 1e-12
             assert abs(laplace_interference(s, FDTR, n_t, CFG, si_model=si_model) - fdtr) <= 1e-12
 
 
-def test_cold_curve_memory_is_bounded():
-    # one work buffer per call, and the kernel and count average run in
-    # v-chunks inside it: memory does not grow with the node counts
+def test_cold_curve_memory_is_bounded(monkeypatch):
+    # one work buffer per call, the kernel threads build in slices of it, and
+    # the count average runs in v-chunks inside it: memory grows with neither
+    # the node counts nor the CPU count
     import tracemalloc
 
     from fdd2d.analytic import _unit_evaluator
 
-    for nodes, bound_mib in (({}, 8.6), ({"v": 400, "angle": 128}, 8.0)):
-        _unit_evaluator.cache_clear()
-        tracemalloc.start()
-        try:
-            success_curve(CFG, [1.0, 10.0], QuadratureSpec(nodes))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound_mib * 2**20, (nodes, peak / 2**20)
+    monkeypatch.delenv("FD_D2D_THREADS", raising=False)
+    for cpus in (None, EIGHT_CPUS):
+        if cpus is not None:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+        for nodes, bound_mib in (({}, 8.6), ({"v": 400, "angle": 128}, 8.0)):
+            _unit_evaluator.cache_clear()
+            tracemalloc.start()
+            try:
+                success_curve(CFG, [1.0, 10.0], QuadratureSpec(nodes))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (cpus, nodes, peak / 2**20)
 
 
 def test_concurrent_curves_match_serial_calls():
@@ -392,3 +411,81 @@ def test_concurrent_curves_match_serial_calls():
     for got, want in zip(results, serial):
         np.testing.assert_array_equal(got.p_sir, want.p_sir)
         np.testing.assert_array_equal(got.p_total, want.p_total)
+
+
+@pytest.mark.parametrize("alpha", [2.2, 4.0])
+@pytest.mark.parametrize("nodes", [{}, {"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}], ids=["default", "small"])
+def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
+    # the small uneven grid runs in tiles of two v rows, so its last tile is short
+    from fdd2d import analytic
+    from oracles import reference_k_grid
+
+    spec = QuadratureSpec(nodes)
+    if nodes:
+        monkeypatch.setattr(analytic, "_TILE_BYTES", 2 * 8 * 6 * (3 * 4 + 2))
+    ev = analytic._LaplaceEvaluator(alpha, spec.node_items())
+    assert ev.tile_rows == (2 if nodes else spec.nodes("v"))
+    for s in (1e-3, 1.0, 1e3):
+        want = reference_k_grid(alpha, spec.nodes_per_level, s)
+        got = ev.k_grid(s)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("si_model", SI_MODELS)
+def test_curve_is_bit_identical_for_any_thread_count(si_model, monkeypatch):
+    from fdd2d.analytic import _LaplaceEvaluator
+
+    builders = set()
+    build = _LaplaceEvaluator._build_kernels
+
+    def traced_build(self, ss, tile):
+        builders.add(threading.get_ident())
+        return build(self, ss, tile)
+
+    monkeypatch.setattr(_LaplaceEvaluator, "_build_kernels", traced_build)
+    thetas = np.geomspace(0.1, 1000.0, 9)
+    monkeypatch.setenv("FD_D2D_THREADS", "1")
+    want = _cold_curve(CFG, thetas, si_model)
+    assert len(builders) == 1
+    monkeypatch.setenv("FD_D2D_THREADS", "2")
+    two = _cold_curve(CFG, thetas, si_model)
+    monkeypatch.delenv("FD_D2D_THREADS")
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: EIGHT_CPUS, raising=False)
+    builders.clear()
+    # more kernel threads than this host may have cores, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eight = _cold_curve(CFG, thetas, si_model)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builders) > 1
+    for got in (two, eight):
+        np.testing.assert_array_equal(got.p_sir, want.p_sir)
+        np.testing.assert_array_equal(got.p_total, want.p_total)
+
+
+def test_curve_in_kernel_batches_matches_serial_curve(monkeypatch):
+    # batches of three kernels built on threads; the cache, three kernels
+    # large and warm with every other threshold, is cleared under a batch
+    # whose kernels are partly cached, so the batch must hold its own
+    from fdd2d import analytic
+
+    thetas = np.geomspace(0.1, 1000.0, 10)
+    monkeypatch.setenv("FD_D2D_THREADS", "1")
+    want = _cold_curve(CFG, thetas, SI_MODELS[0])
+    monkeypatch.delenv("FD_D2D_THREADS")
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: EIGHT_CPUS, raising=False)
+    monkeypatch.setattr(analytic, "_KERNEL_CACHE", 3)
+    _cold_curve(CFG, thetas[::2], SI_MODELS[0])
+    got = success_curve(CFG, thetas, si_model=SI_MODELS[0])
+    np.testing.assert_array_equal(got.p_total, want.p_total)
+
+
+def test_cold_curve_leaves_no_thread_running(monkeypatch):
+    monkeypatch.delenv("FD_D2D_THREADS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: EIGHT_CPUS, raising=False)
+    before = threading.active_count()
+    _cold_curve(CFG, np.geomspace(0.1, 1000.0, 9), SI_MODELS[0])
+    assert threading.active_count() == before

@@ -187,14 +187,16 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 def test_invalid_worker_env_exits_2(threads, tmp_path, monkeypatch, capsys):
+    # the pool and the analytic kernel threads both read it, so every mode checks it
     monkeypatch.setenv("FD_D2D_THREADS", threads)
-    out = tmp_path / "sim.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["--mode", "simulate", "--n-users", "5", "--theta-db", "0:0:1",
-              "--trials", "10", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "FD_D2D_THREADS" in capsys.readouterr().err
-    assert not out.exists()
+    for mode in ("simulate", "analytic"):
+        out = tmp_path / f"{mode}.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", mode, "--n-users", "5", "--theta-db", "0:0:1",
+                  "--trials", "10", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "FD_D2D_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analytic_run_writes_schema_stable_csv(tmp_path):

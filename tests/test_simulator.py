@@ -15,7 +15,8 @@ from fdd2d import (
     compute_mode_probabilities,
     run_experiment,
 )
-from fdd2d.simulator import RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block, resolve_workers
+from fdd2d.analytic import resolve_workers
+from fdd2d.simulator import RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
 from oracles import block_stats, link_sir, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
