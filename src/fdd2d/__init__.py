@@ -17,8 +17,8 @@ from .analytic import (
 )
 from .geometry import DiskConfig, link_distance_nodes
 from .modes import ModeProbabilities, compute_mode_probabilities
-from .popularity import PopularityProfile, build_zipf, hitting_probability, sample_request
+from .popularity import PopularityProfile, build_zipf, hitting_probability
 from .quadrature import DEFAULT_NODES, QuadratureSpec, QuadratureWarning
-from .simulator import Mode, ModeFrequencyReport, SimConfig, classify_modes, run_experiment
+from .simulator import Mode, ModeFrequencyReport, SimConfig, classify_modes, simulate_points
 
 __version__ = "0.1.0"

@@ -448,6 +448,18 @@ def success_probability(
     return SuccessProbability(float(curve.p_total[0]), curve.p_cache, float(curve.p_sir[0]))
 
 
+def _check_thresholds(thetas) -> np.ndarray:
+    """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise ValueError("thetas must be a non-empty 1-D grid")
+    if not np.all(thetas > 0) or not np.all(np.isfinite(thetas)):
+        raise ValueError("thetas must be positive and finite")
+    if np.any(np.diff(thetas) < 0):
+        raise ValueError("thetas must be sorted ascending")
+    return thetas
+
+
 def success_curve(
     cfg: ModelConfig,
     thetas,
@@ -464,13 +476,7 @@ def success_curve(
     under the single SI model, take G(K); per-interferer FDTR receivers take
     sum_k z0_w G(K*e_k) with e_k = exp(-theta*beta*R**alpha*z0_k**alpha).
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise ValueError("thetas must be a non-empty 1-D grid")
-    if not np.all(thetas > 0) or not np.all(np.isfinite(thetas)):
-        raise ValueError("thetas must be positive and finite")
-    if np.any(np.diff(thetas) < 0):
-        raise ValueError("thetas must be sorted ascending")
+    thetas = _check_thresholds(thetas)
     ev, scale = _evaluator(cfg, spec, si_model)
     p_cache = success_probability_cache(cfg)
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)

@@ -23,7 +23,7 @@ from .geometry import DiskConfig
 from .modes import MODE_FIELDS, compute_mode_probabilities
 from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
-from .simulator import Mode, SimConfig, _collect, _pool, _submit, _task_bounds
+from .simulator import Mode, SimConfig, simulate_points
 
 __all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
 
@@ -353,12 +353,10 @@ def run(spec: ExperimentSpec) -> int:
     sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
     rows = []
     gap_overall = None
-    workers = resolve_workers() if simulate else 1
-    with _pool(workers, len(configs) * len(_task_bounds(sim))) as pool:
-        # every point's trial blocks are queued before the first analytic
-        # curve, so the workers simulate while this process computes curves
-        runs = [_submit(cfg, sim, thetas, pool) if simulate else None for cfg in configs]
-        for cfg, sim_run in zip(configs, runs):
+    # every point's trial blocks are queued before the first analytic curve,
+    # so the workers simulate while this process computes curves
+    with simulate_points(configs if simulate else [], sim, thetas) as simulated:
+        for cfg in configs:
             mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
             print(
                 f"== n_users={cfg.n_users} gamma_r={cfg.profile.gamma_r} radius={cfg.disk.radius} "
@@ -370,7 +368,7 @@ def run(spec: ExperimentSpec) -> int:
             curve_a = success_curve(cfg, thetas, quad, spec.si_model) if analytic else None
             curve_s = None
             if simulate:
-                curve_s, report = _collect(sim_run)
+                curve_s, report = next(simulated)
                 freqs = report.mode_frequencies
                 print("  simulated mode frequencies: " + "  ".join(
                     f"{mode.name.replace('_', '-')}={freqs[mode]:.6f}" for mode in Mode

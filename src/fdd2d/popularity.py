@@ -1,4 +1,4 @@
-"""Content popularity: Zipf request distribution, request sampling, hitting probability."""
+"""Content popularity: Zipf request distribution, requests of uniform variates, hitting probability."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ __all__ = [
     "build_zipf",
     "hitting_probability",
     "request_of_uniform",
-    "sample_request",
 ]
 
 
@@ -82,28 +81,6 @@ def hitting_probability(profile: PopularityProfile, n_users: int) -> float:
             f"content), got {n_users}"
         )
     return float(profile.p_hit_prefix[n_users - 1])
-
-
-def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
-    """Draw content requests from the popularity distribution.
-
-    One uniform draw per request, mapped by :func:`request_of_uniform`.
-
-    Parameters
-    ----------
-    profile : PopularityProfile
-    rng : numpy.random.Generator
-    size : int or tuple, optional
-        ``None`` returns a single 1-based content index; otherwise an
-        integer array of that shape.
-
-    Returns
-    -------
-    int or ndarray
-        Content indices in ``1..m``.
-    """
-    requests = request_of_uniform(profile, rng.random(size))
-    return int(requests) if size is None else requests
 
 
 def request_of_uniform(profile: PopularityProfile, u):

@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, resolve_workers
+from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_thresholds, resolve_workers
 from .popularity import request_of_uniform
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "ModeFrequencyReport",
     "SimConfig",
     "classify_modes",
-    "run_experiment",
+    "simulate_points",
 ]
 
 # Trials per pool task.
@@ -347,62 +347,14 @@ def _block_stats(args):
     return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
 
 
-def _task_bounds(sim: SimConfig) -> list:
-    """``(start, stop)`` of each pool task of a run: _TRIALS_PER_BLOCK trials, the last one fewer."""
-    starts = range(0, sim.trials, _TRIALS_PER_BLOCK)
-    return [(a, min(a + _TRIALS_PER_BLOCK, sim.trials)) for a in starts]
-
-
-@contextmanager
-def _pool(workers: int, tasks: int):
-    """A process pool of ``min(workers, tasks)`` workers, or None to run blocks in this process.
-
-    On exit, blocks not yet started are cancelled and the workers are joined.
-    """
-    size = min(workers, tasks)
-    if size <= 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(max_workers=size)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-class _Deferred:
-    """A block task that runs in this process when its result is read."""
-
-    def __init__(self, task):
-        self.task = task
-
-    def result(self):
-        return _block_stats(self.task)
-
-
-def _submit(cfg: ModelConfig, sim: SimConfig, thetas, pool: Optional[ProcessPoolExecutor]):
-    """Check the thresholds and hand the run's block tasks to ``pool`` (None defers them to collect time)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if thetas.size == 0 or np.any(~np.isfinite(thetas)) or np.any(thetas <= 0):
-        raise ValueError("thetas must be positive and finite")
-    if np.any(np.diff(thetas) < 0):
-        raise ValueError("thetas must be sorted ascending")
-
-    tasks = [(cfg, sim, thetas, a, b) for a, b in _task_bounds(sim)]
-    pending = [_Deferred(t) if pool is None else pool.submit(_block_stats, t) for t in tasks]
-    return cfg, sim, thetas, pending
-
-
-def _collect(submitted):
-    """Add up a submitted run's block counts into its curve and mode report."""
-    cfg, sim, thetas, pending = submitted
+def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, blocks):
+    """Add up one point's block counts into its curve and mode report."""
     succ = np.zeros(len(thetas), dtype=np.int64)
     cache_succ = 0
     samples = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(cfg.n_users + 1, dtype=np.int64)
-    for block in pending:
-        b_succ, b_cache, b_samples, b_modes, b_tx = block.result()
+    for b_succ, b_cache, b_samples, b_modes, b_tx in blocks:
         succ += b_succ
         cache_succ += b_cache
         samples += b_samples
@@ -429,18 +381,34 @@ def _collect(submitted):
     return curve, report
 
 
-def run_experiment(cfg: ModelConfig, sim: SimConfig, thetas, workers: Optional[int] = None):
-    """Estimate the success curve and mode statistics over ``sim.trials`` networks.
+@contextmanager
+def simulate_points(configs, sim: SimConfig, thetas, workers: Optional[int] = None):
+    """Estimate the success curve and mode statistics of each config over ``sim.trials`` networks.
+
+    A context manager.  On entry it checks the thresholds and, if more than
+    one worker is to run, queues every point's trial blocks of
+    _TRIALS_PER_BLOCK on one process pool, so the workers simulate while the
+    caller does other work.  It yields an iterator of ``(SuccessCurve,
+    ModeFrequencyReport)``, one per config, in order; with one worker a
+    point is simulated in this process when the iterator reaches it.  On
+    exit, blocks not yet started are cancelled and the workers are joined.
 
     Every trial is seeded from ``(master_seed, trial_index)`` and the
     aggregation is exact integer counting, so results are bit-identical for
-    any worker count and any execution order.
-
-    Returns
-    -------
-    (SuccessCurve, ModeFrequencyReport)
-        Curve with 95% normal confidence half-widths; the report carries the
-        empirical operating-mode counts and the transmitter-count histogram.
+    any worker count and any execution order.  Curves carry 95% normal
+    confidence half-widths; a report carries the empirical operating-mode
+    counts and the transmitter-count histogram.
     """
-    with _pool(resolve_workers(workers), len(_task_bounds(sim))) as pool:
-        return _collect(_submit(cfg, sim, thetas, pool))
+    configs, thetas = list(configs), _check_thresholds(thetas)
+    starts = range(0, sim.trials, _TRIALS_PER_BLOCK)
+    tasks = [[(cfg, sim, thetas, a, min(a + _TRIALS_PER_BLOCK, sim.trials)) for a in starts] for cfg in configs]
+    size = min(resolve_workers(workers), len(configs) * len(starts))
+    if size <= 1:
+        yield (_fold(cfg, sim, thetas, map(_block_stats, point)) for cfg, point in zip(configs, tasks))
+        return
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        futures = [[pool.submit(_block_stats, task) for task in point] for point in tasks]
+        yield (_fold(cfg, sim, thetas, (f.result() for f in point)) for cfg, point in zip(configs, futures))
+    finally:
+        pool.shutdown(cancel_futures=True)

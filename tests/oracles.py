@@ -8,7 +8,8 @@
 - Monte Carlo oracles of the interference transform and of the SIR success
   event, and the two-point distance CDF of the disk.
 - The per-trial network simulator that the package's block kernel is
-  checked against: :func:`sample_realization` draws one network from its
+  checked against: :func:`sample_request` draws content requests from a
+  popularity profile, :func:`sample_realization` draws one network from its
   trial's generator, :func:`link_sir` and :func:`trial_success` evaluate
   it, :func:`block_stats` counts over a range of trials one at a time, and
   :func:`run_trial` evaluates one network at one threshold.
@@ -40,11 +41,12 @@ from fdd2d import (
     DiskConfig,
     ModelConfig,
     Mode,
+    PopularityProfile,
     QuadratureWarning,
     classify_modes,
     link_distance_nodes,
-    sample_request,
 )
+from fdd2d.popularity import request_of_uniform
 from fdd2d.quadrature import panel_rule
 from fdd2d.simulator import CACHE_MODES, FD_MODES, RECEIVING_MODES
 
@@ -255,6 +257,28 @@ def sample_link_distance(q, cfg, rng, size=None):
     if size is None:
         return float(d[0])
     return d
+
+
+def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
+    """Draw content requests from the popularity distribution.
+
+    One uniform draw per request, mapped by :func:`request_of_uniform`.
+
+    Parameters
+    ----------
+    profile : PopularityProfile
+    rng : numpy.random.Generator
+    size : int or tuple, optional
+        ``None`` returns a single 1-based content index; otherwise an
+        integer array of that shape.
+
+    Returns
+    -------
+    int or ndarray
+        Content indices in ``1..m``.
+    """
+    requests = request_of_uniform(profile, rng.random(size))
+    return int(requests) if size is None else requests
 
 
 @dataclass

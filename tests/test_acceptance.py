@@ -26,7 +26,7 @@ from fdd2d import (
     compute_mode_probabilities,
     laplace_interference,
     link_distance_nodes,
-    run_experiment,
+    simulate_points,
     success_curve,
     success_probability_cache,
 )
@@ -215,7 +215,8 @@ def test_criterion_6_analytic_vs_network_simulation():
     thetas = 10.0 ** (np.arange(-10, 31, 2) / 10.0)
     analytic = success_curve(cfg, thetas)
     sim = SimConfig(trials=200_000, master_seed=1006)
-    simulated, _ = run_experiment(cfg, sim, thetas)
+    with simulate_points([cfg], sim, thetas) as points:
+        simulated, _ = next(points)
     gap = np.abs(analytic.p_total - simulated.p_total)
     max_gap = float(gap.max())
     floor = success_probability_cache(cfg)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import multiprocessing
 import os
@@ -170,6 +171,17 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     assert "'radius'" in err and "line 2" in err and "line 4" in err
 
 
+@pytest.mark.parametrize("line, flag", [("mode = foo", "--mode"), ("si_model = nope", "--si-model")])
+def test_config_file_value_outside_choices_exits_2(line, flag, tmp_path, capsys):
+    # argparse checks choices on flags only, not on the defaults a config file sets
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(f"n_users = 5\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{flag} must be one of" in capsys.readouterr().err
+
+
 def test_repeated_quad_nodes_level_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["--n-users", "5", "--quad-nodes", "v=30,v=40"])
@@ -183,6 +195,20 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=REPO_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_private_package_name():
+    # the CLI reaches the package through its public names only
+    with open(os.path.join(SRC, "fdd2d", "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "fdd2d")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdd2d import build_zipf, hitting_probability, sample_request
+from fdd2d import build_zipf, hitting_probability
+from oracles import sample_request
 
 
 def test_uniform_two_contents():

@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from fdd2d import (
     build_zipf,
     classify_modes,
     compute_mode_probabilities,
-    run_experiment,
+    simulate_points,
 )
 from fdd2d.analytic import resolve_workers
 from fdd2d.simulator import RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
@@ -190,7 +191,8 @@ def test_run_trial_single_user():
 def test_run_experiment_single_trial_single_user():
     cfg = ModelConfig(1, DiskConfig(10.0), build_zipf(5, 1.0), ChannelConfig())
     for seed in range(8):
-        curve, report = run_experiment(cfg, SimConfig(trials=1, master_seed=seed), [1.0], workers=1)
+        with simulate_points([cfg], SimConfig(trials=1, master_seed=seed), [1.0], workers=1) as points:
+            curve, report = next(points)
         assert curve.p_total[0] in (0.0, 1.0)
         assert curve.p_total[0] == report.mode_counts[Mode.SR]
 
@@ -198,8 +200,10 @@ def test_run_experiment_single_trial_single_user():
 def test_run_experiment_deterministic_across_workers():
     sim = SimConfig(trials=600, master_seed=42)
     thetas = [0.5, 2.0]
-    c1, r1 = run_experiment(CFG, sim, thetas, workers=1)
-    c2, r2 = run_experiment(CFG, sim, thetas, workers=2)
+    with simulate_points([CFG], sim, thetas, workers=1) as points:
+        c1, r1 = next(points)
+    with simulate_points([CFG], sim, thetas, workers=2) as points:
+        c2, r2 = next(points)
     np.testing.assert_array_equal(c1.p_total, c2.p_total)
     np.testing.assert_array_equal(c1.ci_halfwidth, c2.ci_halfwidth)
     np.testing.assert_array_equal(r1.mode_counts, r2.mode_counts)
@@ -208,14 +212,55 @@ def test_run_experiment_deterministic_across_workers():
 
 def test_run_experiment_repeatable():
     sim = SimConfig(trials=300, master_seed=7)
-    a, _ = run_experiment(CFG, sim, [1.0], workers=1)
-    b, _ = run_experiment(CFG, sim, [1.0], workers=1)
+    with simulate_points([CFG], sim, [1.0], workers=1) as points:
+        a, _ = next(points)
+    with simulate_points([CFG], sim, [1.0], workers=1) as points:
+        b, _ = next(points)
     np.testing.assert_array_equal(a.p_total, b.p_total)
+
+
+@pytest.mark.parametrize(
+    "thetas", [[], [[0.5, 2.0]], [2.0, 0.5], [0.0, 1.0], [1.0, np.inf]],
+    ids=["empty", "2-D", "unsorted", "zero", "inf"],
+)
+def test_simulate_points_rejects_bad_thresholds_before_any_pool(thetas, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr("fdd2d.simulator.ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="thetas"):
+        with simulate_points([CFG], SimConfig(trials=3000), thetas, workers=2):
+            pass
+
+
+def test_simulate_points_gives_each_point_its_lone_result():
+    other = ModelConfig(6, DiskConfig(20.0), build_zipf(500, 0.8), ChannelConfig(alpha=3.0, beta=1e-2))
+    sim = SimConfig(trials=1500, master_seed=11)
+    thetas = [0.5, 2.0]
+    for workers in (1, 2):
+        with simulate_points([CFG, other], sim, thetas, workers=workers) as points:
+            pair = list(points)
+        for cfg, (curve, report) in zip((CFG, other), pair):
+            with simulate_points([cfg], sim, thetas, workers=workers) as points:
+                (alone, alone_report), = points
+            for name in ("thetas", "p_cache", "p_sir", "p_total", "ci_halfwidth"):
+                np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
+            np.testing.assert_array_equal(report.mode_counts, alone_report.mode_counts)
+            np.testing.assert_array_equal(report.tx_count_hist, alone_report.tx_count_hist)
+            assert (report.trials, report.n_users) == (alone_report.trials, alone_report.n_users)
+
+
+def test_simulate_points_joins_the_pool_when_left_early():
+    # the blocks still queued are cancelled and the workers joined
+    with simulate_points([CFG, CFG], SimConfig(trials=3000, master_seed=3), [1.0], workers=2) as points:
+        next(points)
+    assert multiprocessing.active_children() == []
 
 
 def test_mode_report_matches_theorem():
     sim = SimConfig(trials=60_000, master_seed=5)
-    _, report = run_experiment(CFG, sim, [1.0], workers=2)
+    with simulate_points([CFG], sim, [1.0], workers=2) as points:
+        _, report = next(points)
     expected = expected_mode_vector(CFG.profile, CFG.n_users)
     n_samples = sim.trials * CFG.n_users
     freq = report.mode_frequencies
@@ -232,7 +277,8 @@ def test_transmitter_count_mean_and_marginals():
     # empirically P(N_t=0) sits far below (1-p_tx)**N), so only the moments
     # backed by linearity are asserted here
     sim = SimConfig(trials=60_000, master_seed=6)
-    _, report = run_experiment(CFG, sim, [1.0], workers=2)
+    with simulate_points([CFG], sim, [1.0], workers=2) as points:
+        _, report = next(points)
     p_tx = compute_mode_probabilities(CFG.profile, CFG.n_users).p_tx
     counts = np.arange(CFG.n_users + 1)
     freq = report.tx_count_frequencies
