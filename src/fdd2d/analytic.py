@@ -93,6 +93,7 @@ class ModelConfig:
     channel: ChannelConfig
 
     def __post_init__(self):
+        _check_integer("n_users", self.n_users)
         if self.n_users < 1:
             raise ValueError(f"n_users must be at least 1, got {self.n_users}")
         if self.n_users > self.profile.m:
@@ -446,6 +447,12 @@ def success_probability(
     """
     curve = success_curve(cfg, [theta], spec, si_model)
     return SuccessProbability(float(curve.p_total[0]), curve.p_cache, float(curve.p_sir[0]))
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an ``int`` or numpy integer; a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_thresholds(thetas) -> np.ndarray:

@@ -10,7 +10,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_thresholds, resolve_workers
+from .analytic import (
+    SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_integer, _check_thresholds, resolve_workers,
+)
 from .popularity import request_of_uniform
 
 __all__ = [
@@ -23,12 +25,12 @@ __all__ = [
 
 # Trials per pool task.
 _TRIALS_PER_BLOCK = 1024
-# Memory of a kernel block.  A block runs at most _BLOCK_TRIALS trials, each
-# with its own generator and per-user arrays, and, beyond one trial, no more
-# than keep a float64 array of (transmitter rows, n_users) within
-# _BLOCK_BYTES even if every user transmits.  Fading is drawn in chunks of
-# _BLOCK_BYTES and only the transmitter rows are kept, so a block holds a few
-# arrays of its transmitter rows, not the full fading matrix.
+# Memory of a kernel block.  A block runs at most _BLOCK_TRIALS trials and,
+# beyond one trial, no more than keep its whole float64 fading array
+# (trials, n_users, n_users) within _BLOCK_BYTES.  Each trial's stream is
+# visited once; only a lone trial over the budget (N > 256) draws its fading
+# in a second pass, in chunks of _BLOCK_BYTES, keeping the transmitter rows,
+# so no block holds the full fading matrix of a large network.
 _BLOCK_BYTES = 512 << 10
 _BLOCK_TRIALS = 128
 
@@ -64,6 +66,8 @@ class SimConfig:
     si_model: str = SI_PER_INTERFERER
 
     def __post_init__(self):
+        _check_integer("trials", self.trials)
+        _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not 0 <= int(self.master_seed) < 2**64:
@@ -214,10 +218,11 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     stream in a fixed order: radii, angles and requests (``n`` uniforms
     each), the fading matrix ``fading[i, j]`` of the directed link from user
     ``i`` to user ``j`` (unit-mean exponential, row by row), then the
-    serve-target picks.  One generator serves the whole block: it is set to
-    each trial's seeded state in turn, once for the uniforms and once more,
-    advanced past them, for the fading and the picks.  Only the rows of
-    transmitters are kept, since only they carry signal or interference.
+    serve-target picks.  One generator serves the whole block, set to each
+    trial's seeded state once for all of them.  Only the rows of
+    transmitters are kept, since only they carry signal or interference.  A
+    lone trial with its fading array over _BLOCK_BYTES is set once more,
+    past its uniforms, to draw its transmitter rows in chunks and its picks.
     Everything else runs once for the whole block.
 
     User ``k`` (0-based) caches content ``k + 1``.  Each transmitter serves
@@ -242,10 +247,17 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
         seeded["state"], seeded["inc"] = seeds[b]
         bit_generator.state = state
 
+    # true in every block of _block_stats but a lone trial at N > 256
+    whole = count * n * n * 8 <= _BLOCK_BYTES
     uniforms = np.empty((count, 3, n))
+    full = np.empty((count, n, n)) if whole else None
+    picks = np.empty((count, n))
     for b in range(count):
         seed(b)
         rng.random(out=uniforms[b])
+        if whole:
+            rng.standard_exponential(out=full[b])
+            rng.random(out=picks[b])
     radii = cfg.disk.radius * np.sqrt(uniforms[:, 0])
     angles = 2.0 * np.pi * uniforms[:, 1]
     requests = request_of_uniform(cfg.profile, uniforms[:, 2])
@@ -258,21 +270,24 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     tx_flat = np.flatnonzero(transmitters)
     row_trial, row_user = np.divmod(tx_flat, n)
     tx_count = transmitters.sum(axis=1)
-    row_start = np.concatenate(([0], np.cumsum(tx_count)))
 
-    fading = np.empty((tx_flat.size, n))
-    picks = np.empty((count, n))
-    chunk = max(1, _BLOCK_BYTES // (8 * n))
-    for b in range(count):
-        seed(b)
-        bit_generator.advance(3 * n)
-        first = row_start[b]
-        users = row_user[first:row_start[b + 1]]
-        for lo in range(0, n, chunk):
-            drawn = rng.standard_exponential((min(chunk, n - lo), n))
-            a, z = np.searchsorted(users, (lo, lo + chunk))
-            fading[first + a:first + z] = drawn[users[a:z] - lo]
-        rng.random(out=picks[b])
+    if whole:
+        fading = full.reshape(count * n, n)[tx_flat]
+        del full
+    else:
+        fading = np.empty((tx_flat.size, n))
+        row_start = np.concatenate(([0], np.cumsum(tx_count)))
+        chunk = max(1, _BLOCK_BYTES // (8 * n))
+        for b in range(count):
+            seed(b)
+            bit_generator.advance(3 * n)
+            first = row_start[b]
+            users = row_user[first:row_start[b + 1]]
+            for lo in range(0, n, chunk):
+                drawn = rng.standard_exponential((min(chunk, n - lo), n))
+                a, z = np.searchsorted(users, (lo, lo + chunk))
+                fading[first + a:first + z] = drawn[users[a:z] - lo]
+            rng.random(out=picks[b])
 
     # Each transmitter's requesters in ascending user order, grouped by the
     # flat index of the server they request from.
@@ -311,10 +326,10 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     contrib *= w
     del w
     contrib[own] = 0.0
-    total = np.zeros((count, n))
-    np.add.at(total, row_trial, contrib)
+    # summed from 0 in transmitter-row order within each (trial, user) bin
+    total = np.bincount((row_trial[:, None] * n + np.arange(n)).ravel(), contrib.ravel(), count * n)
 
-    interference = np.maximum(total.ravel()[rec] - contrib[srv_row, rec_user], 0.0)
+    interference = np.maximum(total[rec] - contrib[srv_row, rec_user], 0.0)
     z0_pow = np.hypot(x[srv] - x[rec], y[srv] - y[rec]) ** alpha
     n_interferers = tx_count[rec_trial] - 1 - transmitters.ravel()[rec].astype(np.int64)
     si_count = n_interferers if sim.si_model == SI_PER_INTERFERER else 1

@@ -41,6 +41,15 @@ def test_channel_config_validation():
         ChannelConfig(alpha=4.0, beta=1.5)
 
 
+def test_model_config_rejects_non_integral_user_count():
+    # a float N once passed here and failed deep inside success_curve
+    profile = build_zipf(100, 1.0)
+    for n_users in (10.0, np.float64(10), True, "10"):
+        with pytest.raises(ValueError, match="n_users must be an integer"):
+            ModelConfig(n_users, DiskConfig(10.0), profile, ChannelConfig())
+    assert ModelConfig(np.int64(10), DiskConfig(10.0), profile, ChannelConfig()).n_users == 10
+
+
 def test_model_config_validation():
     profile = build_zipf(5, 1.0)
     with pytest.raises(ValueError):

@@ -342,6 +342,19 @@ def test_worker_env_does_not_change_results(tmp_path):
         assert outputs[0] == outputs[1], name
 
 
+def test_workers_run_both_draw_paths_alike(tmp_path):
+    # N = 10 blocks draw each trial's fading whole; a lone trial at N = 300
+    # is over the block budget and draws its transmitter rows in a second pass
+    args = ["--mode", "simulate", "--n-users", "10", "--sweep", "n_users=10,300", "--trials", "600", "--seed", "3"]
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}.csv"
+        result = run_cli(args + ["--out", str(out)], {"FD_D2D_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def pool_run_args(out):
     return ["--mode", "both", "--n-users", "4", "--theta-db", "0:0:1", "--trials", "3000",
             *QUICK_NODES, "--out", str(out)]

@@ -17,7 +17,7 @@ from fdd2d import (
     simulate_points,
 )
 from fdd2d.analytic import resolve_workers
-from fdd2d.simulator import RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
+from fdd2d.simulator import _BLOCK_BYTES, RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
 from oracles import block_stats, link_sir, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
@@ -360,7 +360,10 @@ def test_block_counts_at_thresholds_equal_to_sirs():
     assert_counts_equal(_block_stats(args), block_stats(*args))
 
 
-@pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40, 200])
+# N = 256 is the largest lone trial whose whole fading array fits
+# _BLOCK_BYTES, drawn in one visit to its stream; N = 257 draws its
+# transmitter rows in a second pass
+@pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40, 200, 256, 257])
 def test_block_of_one_replays_oracle_trial_bitwise(n_users):
     for si_model in ("per-interferer", "single"):
         for gamma_r in (0.0, 1.2, 2.5):
@@ -376,6 +379,15 @@ def test_block_of_one_replays_oracle_trial_bitwise(n_users):
                     np.testing.assert_array_equal(block.serve_target[0], real.serve_target)
                     # same bits, so NaN and inf sit in the same places
                     np.testing.assert_array_equal(block.sir[0].view(np.uint64), sir.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_users", [256, 257])
+def test_block_counts_equal_oracle_on_either_draw_path(n_users):
+    assert 8 * 256 * 256 == _BLOCK_BYTES
+    for si_model in ("per-interferer", "single"):
+        cfg = gate_config(n_users, 1.2, 1e-2)
+        args = (cfg, SimConfig(trials=1, master_seed=36, si_model=si_model), GATE_THETAS, 3, 7)
+        assert_counts_equal(_block_stats(args), block_stats(*args))
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -442,6 +454,34 @@ def test_large_network_replay_within_oracle_peak_memory():
     np.testing.assert_array_equal(block.serve_target[0], real.serve_target)
     np.testing.assert_array_equal(block.sir[0].view(np.uint64), sir.view(np.uint64))
     assert kernel_peak <= oracle_peak
+
+
+@pytest.mark.parametrize(
+    "n_users,count", [(10, 128), (40, 40), (256, 1), (257, 1)], ids=["N10x128", "N40x40", "N256x1", "N257x1"],
+)
+def test_block_memory_stays_within_twice_the_budget(n_users, count):
+    # the whole fading array of a block is at most _BLOCK_BYTES, and only its
+    # transmitter rows outlive the draws
+    cfg = gate_config(n_users, 1.2, 1e-2)
+    _, peak = traced_peak(_simulate_block, cfg, SimConfig(trials=1, master_seed=37), 0, count)
+    assert peak <= 2 * _BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("trials", 2.5), ("trials", 600.0), ("trials", True), ("master_seed", 1.5), ("master_seed", np.float64(3)),
+     ("master_seed", False), ("master_seed", "7")],
+)
+def test_sim_config_rejects_non_integral_counts_and_seeds(field, value):
+    # a float seed once ran as its floor, and a float trial count failed
+    # inside simulate_points
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{field: value})
+
+
+def test_sim_config_takes_numpy_integers():
+    sim = SimConfig(trials=np.int32(5), master_seed=np.uint64(2**64 - 1))
+    assert (sim.trials, int(sim.master_seed)) == (5, 2**64 - 1)
 
 
 def test_sim_config_validation():
