@@ -199,6 +199,8 @@ class _LaplaceEvaluator:
         """
         found = {s: self._k_cache.get(s) for s in map(float, ss)}
         missing = [s for s, k in found.items() if k is None]
+        if not missing:
+            return found
         parts = 1
         if len(missing) > 1:
             parts = min(resolve_workers(), len(missing), work.size // self.tile_floats)

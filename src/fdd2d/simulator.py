@@ -57,6 +57,19 @@ _IS_RECEIVING = np.array([mode in RECEIVING_MODES for mode in Mode])
 _IS_FD = np.array([mode in FD_MODES for mode in Mode])
 
 
+def _mode_of_flags(self_req, demanded, cached, mutual) -> Mode:
+    """A user's mode from its request flags; a self-request is not a hit, and only a hit can be mutual."""
+    if self_req:
+        return Mode.SR_HDTX if demanded else Mode.SR
+    if cached:
+        return Mode.BFD if mutual else Mode.TNFD if demanded else Mode.HDRX
+    return Mode.HDTX if demanded else Mode.HO
+
+
+# Mode of each code self_req | demanded << 1 | cached << 2 | mutual << 3.
+_MODE_OF_CODE = np.array([_mode_of_flags(code & 1, code & 2, code & 4, code & 8) for code in range(16)], dtype=np.int8)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Trial count, seeding, and self-interference accounting of a simulation run."""
@@ -100,7 +113,7 @@ def classify_modes(requests, n_users: int):
     Parameters
     ----------
     requests : array_like, shape (..., n_users)
-        1-based content indices requested by each user; leading batch
+        1-based integer content indices requested by each user; leading batch
         dimensions are allowed.  User ``k`` (0-based) caches content
         ``k + 1``.
     n_users : int
@@ -113,6 +126,8 @@ def classify_modes(requests, n_users: int):
         else requests), both shaped like ``requests``.
     """
     r = np.asarray(requests)
+    if r.dtype.kind not in "iu":
+        raise ValueError(f"requests must be integer content indices, got dtype {r.dtype}")
     if r.ndim == 0 or r.shape[-1] != n_users:
         raise ValueError(f"requests must have trailing dimension n_users={n_users}, got shape {r.shape}")
     batch_shape = r.shape[:-1]
@@ -123,22 +138,14 @@ def classify_modes(requests, n_users: int):
     users = np.arange(n_users)
 
     self_req = r0 == users
-    hit = (r0 < n_users) & ~self_req
     cached = r0 < n_users
-    flat = (np.arange(n_rows)[:, None] * n_users + r0)[cached]
-    counts = np.bincount(flat, minlength=n_rows * n_users).reshape(n_rows, n_users)
-    demanded = (counts - self_req) > 0
-
-    server = np.where(hit, r0, 0)
-    server_request = np.take_along_axis(r0, server, axis=1)
-    bfd = hit & demanded & (server_request == users)
-    modes = np.select(
-        [self_req & ~demanded, self_req & demanded, bfd, hit & demanded, hit, demanded],
-        [Mode.SR, Mode.SR_HDTX, Mode.BFD, Mode.TNFD, Mode.HDRX, Mode.HDTX],
-        default=Mode.HO,
-    ).astype(np.int8)
-
-    modes = modes.reshape(*batch_shape, n_users)
+    demanded = np.zeros(n_rows * n_users, dtype=bool)
+    demanded[(np.arange(n_rows)[:, None] * n_users + r0)[cached & ~self_req]] = True
+    demanded = demanded.reshape(n_rows, n_users)
+    # the user caching one's request wants one's content back; the table reads this only for a hit
+    mutual = np.take_along_axis(r0, np.minimum(r0, n_users - 1), axis=1) == users
+    code = self_req.view(np.uint8) | demanded.view(np.uint8) << 1 | cached.view(np.uint8) << 2 | mutual.view(np.uint8) << 3
+    modes = _MODE_OF_CODE[code].reshape(*batch_shape, n_users)
     transmitters = demanded.reshape(*batch_shape, n_users)
     return modes, transmitters
 
@@ -211,19 +218,22 @@ class _Block(NamedTuple):
     sir: np.ndarray            # SIR of receiving users; NaN for others, inf when nothing interferes
 
 
-def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> _Block:
+def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, seeds=None, rng=None) -> _Block:
     """Drop and evaluate the networks of trials ``[start, stop)``.
 
     Trial ``t`` draws from its own ``SeedSequence((master_seed, t))`` PCG64
     stream in a fixed order: radii, angles and requests (``n`` uniforms
     each), the fading matrix ``fading[i, j]`` of the directed link from user
     ``i`` to user ``j`` (unit-mean exponential, row by row), then the
-    serve-target picks.  One generator serves the whole block, set to each
-    trial's seeded state once for all of them.  Only the rows of
-    transmitters are kept, since only they carry signal or interference.  A
-    lone trial with its fading array over _BLOCK_BYTES is set once more,
-    past its uniforms, to draw its transmitter rows in chunks and its picks.
-    Everything else runs once for the whole block.
+    serve-target picks.  One generator ``rng`` serves the block, set to each
+    trial's seeded state from ``seeds`` once for all of them; a task passes
+    every block its slice of the task's seeds and its one generator.  Only
+    the rows of transmitters are kept, since only they carry signal or
+    interference.  A lone trial with its fading array over _BLOCK_BYTES is
+    set once more, past its uniforms, to draw its transmitter rows in chunks
+    and its picks.  Everything else runs once for the whole block, and one
+    distance matrix, transmitter rows by users, gives the interfering, the
+    target and the serving link distances.
 
     User ``k`` (0-based) caches content ``k + 1``.  Each transmitter serves
     one of the users requesting its content, picked uniformly, and inverts
@@ -237,9 +247,9 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     n = cfg.n_users
     alpha = cfg.channel.alpha
     count = stop - start
-    seeds = _pcg64_seeds(sim.master_seed, start, stop)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    seeds = _pcg64_seeds(sim.master_seed, start, stop) if seeds is None else seeds
+    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
+    bit_generator = rng.bit_generator
     seeded = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
 
@@ -309,7 +319,6 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     # read before the fading rows turn into interference terms in place
     numer = fading[srv_row, rec_user]
 
-    z_pow = np.hypot(x[tx_flat] - x[target], y[tx_flat] - y[target]) ** alpha
     # each transmitter row minus the positions of its trial's users,
     # computed in the gathered arrays
     w = x.reshape(count, n)[row_trial]
@@ -318,7 +327,11 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     np.subtract(y[tx_flat][:, None], dy, out=dy)
     np.hypot(w, dy, out=w)
     del dy
-    own = (np.arange(tx_flat.size), row_user)
+    rows = np.arange(tx_flat.size)
+    # the target and serving link distances are entries of the same matrix
+    z_pow = w[rows, serve_target[tx_flat]] ** alpha
+    z0_pow = w[srv_row, rec_user] ** alpha
+    own = (rows, row_user)
     w[own] = 1.0
     np.power(w, -alpha, out=w)
     contrib = fading
@@ -330,7 +343,6 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int) -> 
     total = np.bincount((row_trial[:, None] * n + np.arange(n)).ravel(), contrib.ravel(), count * n)
 
     interference = np.maximum(total[rec] - contrib[srv_row, rec_user], 0.0)
-    z0_pow = np.hypot(x[srv] - x[rec], y[srv] - y[rec]) ** alpha
     n_interferers = tx_count[rec_trial] - 1 - transmitters.ravel()[rec].astype(np.int64)
     si_count = n_interferers if sim.si_model == SI_PER_INTERFERER else 1
     fd = _IS_FD[modes.ravel()[rec]]
@@ -350,8 +362,11 @@ def _block_stats(args):
     cache_succ = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(n + 1, dtype=np.int64)
+    seeds = _pcg64_seeds(sim.master_seed, start, stop)
+    rng = np.random.Generator(np.random.PCG64(0))
     for lo in range(start, stop, per_block):
-        block = _simulate_block(cfg, sim, lo, min(stop, lo + per_block))
+        hi = min(stop, lo + per_block)
+        block = _simulate_block(cfg, sim, lo, hi, seeds[lo - start:hi - start], rng)
         mode_counts += np.bincount(block.modes.ravel(), minlength=len(Mode))
         tx_hist += np.bincount(block.transmitters.sum(axis=1), minlength=n + 1)
         cache = int(_IS_CACHE[block.modes].sum())

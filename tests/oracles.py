@@ -9,8 +9,9 @@
   event, and the two-point distance CDF of the disk.
 - The per-trial network simulator that the package's block kernel is
   checked against: :func:`sample_request` draws content requests from a
-  popularity profile, :func:`sample_realization` draws one network from its
-  trial's generator, :func:`link_sir` and :func:`trial_success` evaluate
+  popularity profile, :func:`reference_modes` labels one network's users
+  from the :class:`Mode` definitions, :func:`sample_realization` draws one
+  network from its trial's generator, :func:`link_sir` and :func:`trial_success` evaluate
   it, :func:`block_stats` counts over a range of trials one at a time, and
   :func:`run_trial` evaluates one network at one threshold.
 - The allocating closed-form transmitter-count sum :func:`count_sum` that
@@ -43,7 +44,6 @@ from fdd2d import (
     Mode,
     PopularityProfile,
     QuadratureWarning,
-    classify_modes,
     link_distance_nodes,
 )
 from fdd2d.popularity import request_of_uniform
@@ -281,6 +281,33 @@ def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=No
     return int(requests) if size is None else requests
 
 
+def reference_modes(requests, n_users: int):
+    """Modes and transmitter mask of one network, user by user from the :class:`Mode` definitions.
+
+    User ``k`` (0-based) caches content ``k + 1``.  A user transmits when
+    another user requests its content, and receives from the user caching
+    its request when that is another user.
+    """
+    requests = [int(r) for r in requests]
+    server = [r - 1 if r <= n_users else None for r in requests]
+    wanted = {s for j, s in enumerate(server) if s not in (None, j)}
+    transmits = [k in wanted for k in range(n_users)]
+    modes = []
+    for k in range(n_users):
+        if server[k] == k:
+            mode = Mode.SR_HDTX if transmits[k] else Mode.SR
+        elif server[k] is None:
+            mode = Mode.HDTX if transmits[k] else Mode.HO
+        elif not transmits[k]:
+            mode = Mode.HDRX
+        elif server[server[k]] == k:
+            mode = Mode.BFD
+        else:
+            mode = Mode.TNFD
+        modes.append(mode)
+    return np.array(modes, dtype=np.int8), np.array(transmits, dtype=bool)
+
+
 @dataclass
 class NetworkRealization:
     """One sampled network: geometry, requests, modes, link structure, fading.
@@ -318,7 +345,7 @@ def sample_realization(cfg: ModelConfig, rng: np.random.Generator) -> NetworkRea
     fading = rng.standard_exponential((n, n))
     picks = rng.random(n)
 
-    modes, transmitters = classify_modes(requests, n)
+    modes, transmitters = reference_modes(requests, n)
     r0 = requests - 1
     users = np.arange(n)
     server_of = np.where((r0 < n) & (r0 != users), r0, -1)

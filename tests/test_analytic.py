@@ -422,6 +422,23 @@ def test_concurrent_curves_match_serial_calls():
         np.testing.assert_array_equal(got.p_total, want.p_total)
 
 
+def test_warm_kernels_return_cached_arrays_without_building(monkeypatch):
+    # with every kernel cached nothing is built, so even a work array smaller
+    # than one tile serves
+    from fdd2d import analytic
+
+    ev = analytic._LaplaceEvaluator(4.0, QuadratureSpec({"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}).node_items())
+    cold = ev.kernels([0.5, 2.0], ev.work_buffer())
+
+    def no_build(ss, tile):
+        raise AssertionError(f"built kernels {ss}")
+
+    monkeypatch.setattr(ev, "_build_kernels", no_build)
+    warm = ev.kernels([0.5, 2.0], np.empty(10))
+    assert warm.keys() == cold.keys()
+    assert all(warm[s] is cold[s] for s in cold)
+
+
 @pytest.mark.parametrize("alpha", [2.2, 4.0])
 @pytest.mark.parametrize("nodes", [{}, {"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}], ids=["default", "small"])
 def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):

@@ -197,6 +197,28 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_pooled_run_leaves_numpy_random_out_of_the_parent(tmp_path):
+    # only the pool workers draw; importing numpy.random in the parent before
+    # the fork would raise the parent's RSS by about 6 MB
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        pytest.skip("with one CPU the parent simulates on its own")
+    args = ["--mode", "both", "--n-users", "4", "--theta-db", "0:0:1", "--trials", "3000",
+            *QUICK_NODES, "--out", str(tmp_path / "out.csv")]
+    probe = (
+        f"import sys, fdd2d.cli as cli; cli.run(cli.parse_args({args!r})); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
+    )
+    env = dict(REPO_ENV, FD_D2D_THREADS="2")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert len(read_rows(tmp_path / "out.csv")) == 1
+
+
 def test_cli_imports_no_private_package_name():
     # the CLI reaches the package through its public names only
     with open(os.path.join(SRC, "fdd2d", "cli.py"), encoding="utf-8") as fh:

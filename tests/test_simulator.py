@@ -18,7 +18,7 @@ from fdd2d import (
 )
 from fdd2d.analytic import resolve_workers
 from fdd2d.simulator import _BLOCK_BYTES, RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
-from oracles import block_stats, link_sir, run_trial, sample_realization, trial_rng, trial_success
+from oracles import block_stats, link_sir, reference_modes, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
     n_users=10,
@@ -58,6 +58,41 @@ def test_classify_out_of_library_requests():
 def test_classify_rejects_zero_based():
     with pytest.raises(ValueError):
         classify_modes([0, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "requests", [np.array([[1.5, 2.0]]), np.array([[1.0, 2.0]]), [[True, True]], [1.0, 2.0]],
+    ids=["fractional", "integral-float", "bool", "float-list"],
+)
+def test_classify_rejects_non_integer_requests(requests):
+    # 1.5 was read as content 1, and True as content 1
+    with pytest.raises(ValueError, match="integer content indices"):
+        classify_modes(requests, 2)
+
+
+@pytest.mark.parametrize("requests", [[2, 1], np.array([2, 1], dtype=np.int32), np.array([2, 1], dtype=np.uint64)])
+def test_classify_takes_integer_requests_of_any_width(requests):
+    modes, tx = classify_modes(requests, 2)
+    assert list(modes) == [Mode.BFD, Mode.BFD]
+    assert tx.all()
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40])
+def test_classify_matches_per_user_reference(n_users):
+    # requests over 1..N+3, so some miss every cache; one batch dimension and two
+    rng = np.random.default_rng(20 + n_users)
+    seen = set()
+    for shape in ((300, n_users), (2, 3, n_users)):
+        requests = rng.integers(1, n_users + 4, size=shape)
+        modes, tx = classify_modes(requests, n_users)
+        assert modes.shape == tx.shape == shape
+        for row, row_modes, row_tx in zip(requests.reshape(-1, n_users), modes.reshape(-1, n_users), tx.reshape(-1, n_users)):
+            want_modes, want_tx = reference_modes(row, n_users)
+            np.testing.assert_array_equal(row_modes, want_modes, err_msg=str(row))
+            np.testing.assert_array_equal(row_tx, want_tx, err_msg=str(row))
+        seen.update(modes.ravel().tolist())
+    if n_users >= 3:
+        assert seen == set(Mode)
 
 
 def test_classify_frequencies_match_closed_forms():
@@ -388,6 +423,16 @@ def test_block_counts_equal_oracle_on_either_draw_path(n_users):
         cfg = gate_config(n_users, 1.2, 1e-2)
         args = (cfg, SimConfig(trials=1, master_seed=36, si_model=si_model), GATE_THETAS, 3, 7)
         assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+def test_block_cut_leaves_task_counts_unchanged(monkeypatch):
+    # blocks of 7 trials read other slices of the task's one seed list than
+    # blocks of 40; the counts must not notice
+    cfg = gate_config(40, 1.2, 1e-2)
+    args = (cfg, SimConfig(trials=1, master_seed=38), GATE_THETAS, 5, 1030)
+    default = _block_stats(args)
+    monkeypatch.setattr("fdd2d.simulator._BLOCK_TRIALS", 7)
+    assert_counts_equal(_block_stats(args), default)
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
