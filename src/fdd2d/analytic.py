@@ -7,7 +7,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,9 +93,7 @@ class ModelConfig:
     channel: ChannelConfig
 
     def __post_init__(self):
-        _check_integer("n_users", self.n_users)
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be at least 1, got {self.n_users}")
+        _check_integer(self, "n_users", 1)
         if self.n_users > self.profile.m:
             raise ValueError(
                 f"n_users={self.n_users} exceeds library size m={self.profile.m}; "
@@ -263,14 +261,14 @@ class _LaplaceEvaluator:
             self._k_cache[s] = k
         return ks
 
-    def count_average(self, k, s, scale, g, si_model, work) -> tuple:
-        """HDRX and FDTR transforms at ``s`` averaged over the transmitter-count law with generating function g.
+    def count_average(self, k, s, scale, p_tx, n_users, si_model, work) -> tuple:
+        """HDRX and FDTR transforms at ``s`` averaged over a Binomial(n_users, p_tx) transmitter count.
 
-        ``k`` is the kernel at ``s``.  ``g(x) = sum over n >= 1 of P(n) *
-        x**(n - 1)``, evaluated elementwise in place as ``g(x, scratch)`` (see
-        :func:`_count_sum`): ``n - 1`` interferers raise the kernel, and under
-        the per-interferer SI model also the SI factor, to that power.
-        Everything runs in v-chunks inside ``work``, a :meth:`work_buffer`.
+        ``k`` is the kernel at ``s``.  The count enters through ``G(x) = sum
+        over n >= 1 of P(n) * x**(n - 1)``, taken in place by :func:`_count_sum`:
+        ``n - 1`` interferers raise the kernel, and under the per-interferer
+        SI model also the SI factor, to that power.  Everything runs in
+        v-chunks inside ``work``, a :meth:`work_buffer`.
         """
         n_v, n_t = k.shape
         n_z = self.z0_pow.shape[1]
@@ -284,23 +282,21 @@ class _LaplaceEvaluator:
             np.multiply(-(s * scale), self.z0_pow[i:j], out=si_factor)
             np.exp(si_factor, out=si_factor)
             g_k[i:j] = k[i:j]
-            g(g_k[i:j], x)
+            _count_sum(g_k[i:j], x, p_tx, n_users)
             if si_model == SI_SINGLE:
                 np.multiply(g_k[i:j], np.einsum("vk,vk->v", self.z0_wts[i:j], si_factor)[:, None], out=fdtr[i:j])
             else:
                 k_e = x[: (j - i) * n_t * n_z].reshape(j - i, n_t, n_z)
                 np.multiply(k[i:j, :, None], si_factor[:, None, :], out=k_e)
-                g(k_e, x[k_e.size :])
+                _count_sum(k_e, x[k_e.size :], p_tx, n_users)
                 np.einsum("vtk,vk->vt", k_e, self.z0_wts[i:j], out=fdtr[i:j])
         np.multiply(self.vt_weight, g_k, out=g_k)
         np.multiply(self.vt_weight, fdtr, out=fdtr)
         return float(np.sum(g_k)), float(np.sum(fdtr))
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
+def resolve_workers() -> int:
     """Worker count for kernel threads and trial blocks: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
-    if workers is not None:
-        return max(1, int(workers))
     try:
         available = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -451,10 +447,14 @@ def success_probability(
     return SuccessProbability(float(curve.p_total[0]), curve.p_cache, float(curve.p_sir[0]))
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count or seed that is not an ``int`` or numpy integer; a bool is not taken for one."""
+def _check_integer(config, name: str, minimum: int) -> None:
+    """Check that a config's count or seed is an integer (not a bool) of at least ``minimum``; store it as an ``int``, which cannot wrap."""
+    value = getattr(config, name)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    object.__setattr__(config, name, int(value))
 
 
 def _check_thresholds(thetas) -> np.ndarray:
@@ -489,7 +489,6 @@ def success_curve(
     ev, scale = _evaluator(cfg, spec, si_model)
     p_cache = success_probability_cache(cfg)
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-    binomial = partial(_count_sum, p_tx=mp.p_tx, n_users=cfg.n_users)
     work = ev.work_buffer()
     values = thetas.tolist()
     p_sir = np.empty(thetas.size)
@@ -499,7 +498,7 @@ def success_curve(
         batch = values[lo : lo + _KERNEL_CACHE]
         kernels = ev.kernels(batch, work)
         for i, theta in enumerate(batch, lo):
-            hdrx, fdtr = ev.count_average(kernels[theta], theta, scale, binomial, si_model, work)
+            hdrx, fdtr = ev.count_average(kernels[theta], theta, scale, mp.p_tx, cfg.n_users, si_model, work)
             p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
     return SuccessCurve(
         thetas=thetas,

@@ -6,7 +6,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,11 +80,9 @@ class SimConfig:
     si_model: str = SI_PER_INTERFERER
 
     def __post_init__(self):
-        _check_integer("trials", self.trials)
-        _check_integer("master_seed", self.master_seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= int(self.master_seed) < 2**64:
+        _check_integer(self, "trials", 1)
+        _check_integer(self, "master_seed", 0)
+        if self.master_seed >= 2**64:
             raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed}")
         if self.si_model not in SI_MODELS:
             raise ValueError(f"si_model must be one of {SI_MODELS}, got {self.si_model!r}")
@@ -180,33 +179,34 @@ def _hashmix(words, constants):
     return words ^ (words >> 16)
 
 
-def _pcg64_seeds(master_seed: int, start: int, stop: int) -> list:
-    """PCG64 ``(state, inc)`` of trials ``[start, stop)``, as ``SeedSequence((master_seed, t))`` seeds them.
+def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``(seed_hi, seed_lo, inc_hi, inc_lo)`` of trials ``[start, stop)``, as ``SeedSequence((master_seed, t))`` makes them.
 
     The entropy is the 32-bit little-endian words of ``master_seed`` then
     of ``t`` (one word for 0), at most four, so it fits the pool, and a
-    missing word hashes as 0.  Then the pool is mixed, expanded by
-    ``generate_state(4, uint64)`` and fed to PCG64's set-seed step.
+    missing word hashes as 0.  Then the pool is mixed and expanded by
+    ``generate_state(4, uint64)`` into one uint64 column per trial.
     """
-    master_seed = int(master_seed)
     trials = np.arange(start, stop, dtype=np.uint64)
-    seed_words = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    entropy = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
     pool = np.zeros((4, trials.size), dtype=np.uint32)
-    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    pool[len(seed_words)] = trials & _MASK32
-    pool[len(seed_words) + 1] = trials >> 32
+    pool[:len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
+    pool[len(entropy)] = trials & _MASK32
+    pool[len(entropy) + 1] = trials >> 32
     pool = _hashmix(pool, _POOL_HASH[:, :4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _POOL_HASH[:, 4 + 3 * src:7 + 3 * src]) * _MIX_R
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    seeds = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        seeds.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return seeds
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+def _pcg64_seeds(words: np.ndarray) -> list:
+    """PCG64's ``(state, inc)`` of each column of :func:`_seed_words`, after PCG64's set-seed step."""
+    seed_hi, seed_lo, inc_hi, inc_lo = words.tolist()
+    incs = [(i_hi << 65 | i_lo << 1 | 1) & _MASK128 for i_hi, i_lo in zip(inc_hi, inc_lo)]
+    return [(((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc) for s_hi, s_lo, inc in zip(seed_hi, seed_lo, incs)]
 
 
 class _Block(NamedTuple):
@@ -218,7 +218,7 @@ class _Block(NamedTuple):
     sir: np.ndarray            # SIR of receiving users; NaN for others, inf when nothing interferes
 
 
-def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, seeds=None, rng=None) -> _Block:
+def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, words=None, rng=None) -> _Block:
     """Drop and evaluate the networks of trials ``[start, stop)``.
 
     Trial ``t`` draws from its own ``SeedSequence((master_seed, t))`` PCG64
@@ -226,10 +226,10 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, see
     each), the fading matrix ``fading[i, j]`` of the directed link from user
     ``i`` to user ``j`` (unit-mean exponential, row by row), then the
     serve-target picks.  One generator ``rng`` serves the block, set to each
-    trial's seeded state from ``seeds`` once for all of them; a task passes
-    every block its slice of the task's seeds and its one generator.  Only
-    the rows of transmitters are kept, since only they carry signal or
-    interference.  A lone trial with its fading array over _BLOCK_BYTES is
+    trial's seeded state from its column of ``words`` once for all of them; a
+    task passes every block its slice of the task's seed words and its one
+    generator.  Only the rows of transmitters are kept, since only they carry
+    signal or interference.  A lone trial with its fading array over _BLOCK_BYTES is
     set once more, past its uniforms, to draw its transmitter rows in chunks
     and its picks.  Everything else runs once for the whole block, and one
     distance matrix, transmitter rows by users, gives the interfering, the
@@ -247,7 +247,7 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, see
     n = cfg.n_users
     alpha = cfg.channel.alpha
     count = stop - start
-    seeds = _pcg64_seeds(sim.master_seed, start, stop) if seeds is None else seeds
+    seeds = _pcg64_seeds(_seed_words(sim.master_seed, start, stop) if words is None else words)
     rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
     bit_generator = rng.bit_generator
     seeded = {"state": 0, "inc": 0}
@@ -353,58 +353,58 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, see
     return _Block(modes, transmitters, serve_target.reshape(count, n), sir.reshape(count, n))
 
 
-def _block_stats(args):
+class _Tally(NamedTuple):
+    """Integer counts over a range of trials; tallies of disjoint ranges add field by field (:func:`_add`)."""
+
+    succ: np.ndarray          # users succeeding at each threshold, cache hits included
+    mode_counts: np.ndarray   # users in each Mode
+    tx_hist: np.ndarray       # trials by transmitter count
+
+
+def _add(a: _Tally, b: _Tally) -> _Tally:
+    return _Tally._make(map(np.add, a, b))
+
+
+def _block_stats(args) -> _Tally:
     """Integer counts over trials ``[start, stop)``, run in kernel blocks within the memory budget."""
     cfg, sim, thetas, start, stop = args
     n = cfg.n_users
     per_block = min(_BLOCK_TRIALS, max(1, _BLOCK_BYTES // (8 * n * n)))
-    succ = np.zeros(len(thetas), dtype=np.int64)
-    cache_succ = 0
-    mode_counts = np.zeros(len(Mode), dtype=np.int64)
-    tx_hist = np.zeros(n + 1, dtype=np.int64)
-    seeds = _pcg64_seeds(sim.master_seed, start, stop)
+    words = _seed_words(sim.master_seed, start, stop)
     rng = np.random.Generator(np.random.PCG64(0))
+    tally = _Tally(np.zeros(len(thetas), np.int64), np.zeros(len(Mode), np.int64), np.zeros(n + 1, np.int64))
     for lo in range(start, stop, per_block):
         hi = min(stop, lo + per_block)
-        block = _simulate_block(cfg, sim, lo, hi, seeds[lo - start:hi - start], rng)
-        mode_counts += np.bincount(block.modes.ravel(), minlength=len(Mode))
-        tx_hist += np.bincount(block.transmitters.sum(axis=1), minlength=n + 1)
-        cache = int(_IS_CACHE[block.modes].sum())
+        block = _simulate_block(cfg, sim, lo, hi, words[:, lo - start:hi - start], rng)
+        mode_counts = np.bincount(block.modes.ravel(), minlength=len(Mode))
         # NaN marks a user without an SIR; it fails every threshold
         sir = np.sort(block.sir[~np.isnan(block.sir)])
-        succ += cache + sir.size - np.searchsorted(sir, thetas, side="left")
-        cache_succ += cache
-    return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
+        tally = _add(tally, _Tally(
+            succ=mode_counts[_IS_CACHE].sum() + sir.size - np.searchsorted(sir, thetas, side="left"),
+            mode_counts=mode_counts,
+            tx_hist=np.bincount(block.transmitters.sum(axis=1), minlength=n + 1),
+        ))
+    return tally
 
 
-def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, blocks):
-    """Add up one point's block counts into its curve and mode report."""
-    succ = np.zeros(len(thetas), dtype=np.int64)
-    cache_succ = 0
-    samples = 0
-    mode_counts = np.zeros(len(Mode), dtype=np.int64)
-    tx_hist = np.zeros(cfg.n_users + 1, dtype=np.int64)
-    for b_succ, b_cache, b_samples, b_modes, b_tx in blocks:
-        succ += b_succ
-        cache_succ += b_cache
-        samples += b_samples
-        mode_counts += b_modes
-        tx_hist += b_tx
-
-    p_total = succ / samples
-    p_cache = cache_succ / samples
+def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, tallies):
+    """Add up one point's task tallies into its curve and mode report, with the cache hits and samples they imply."""
+    tally = reduce(_add, tallies)
+    cache = int(tally.mode_counts[_IS_CACHE].sum())
+    samples = sim.trials * cfg.n_users
+    p_total = tally.succ / samples
     ci = 1.96 * np.sqrt(p_total * (1.0 - p_total) / samples)
     curve = SuccessCurve(
         thetas=thetas,
-        p_cache=p_cache,
-        p_sir=(succ - cache_succ) / samples,
+        p_cache=cache / samples,
+        p_sir=(tally.succ - cache) / samples,
         p_total=p_total,
         source="simulated",
         ci_halfwidth=ci,
     )
     report = ModeFrequencyReport(
-        mode_counts=mode_counts,
-        tx_count_hist=tx_hist,
+        mode_counts=tally.mode_counts,
+        tx_count_hist=tally.tx_hist,
         trials=sim.trials,
         n_users=cfg.n_users,
     )
@@ -412,7 +412,7 @@ def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, blocks):
 
 
 @contextmanager
-def simulate_points(configs, sim: SimConfig, thetas, workers: Optional[int] = None):
+def simulate_points(configs, sim: SimConfig, thetas):
     """Estimate the success curve and mode statistics of each config over ``sim.trials`` networks.
 
     A context manager.  On entry it checks the thresholds and, if more than
@@ -432,7 +432,7 @@ def simulate_points(configs, sim: SimConfig, thetas, workers: Optional[int] = No
     configs, thetas = list(configs), _check_thresholds(thetas)
     starts = range(0, sim.trials, _TRIALS_PER_BLOCK)
     tasks = [[(cfg, sim, thetas, a, min(a + _TRIALS_PER_BLOCK, sim.trials)) for a in starts] for cfg in configs]
-    size = min(resolve_workers(workers), len(configs) * len(starts))
+    size = min(resolve_workers(), len(configs) * len(starts))
     if size <= 1:
         yield (_fold(cfg, sim, thetas, map(_block_stats, point)) for cfg, point in zip(configs, tasks))
         return

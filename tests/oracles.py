@@ -433,16 +433,22 @@ def trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
 
 
-def block_stats(cfg, sim, thetas, start, stop):
-    """Counts over trials ``[start, stop)``, one realization at a time.
+class BlockCounts(NamedTuple):
+    """The oracle's counts over a range of trials: the fields of the package's tally, then its own cache and sample counts."""
 
-    Returns ``(successes per threshold, cache hits, user samples, mode
-    counts, transmitter-count histogram)``, the tuple the package's block
-    kernel aggregates to.
-    """
+    succ: np.ndarray          # users succeeding at each threshold, cache hits included
+    mode_counts: np.ndarray   # users in each Mode
+    tx_hist: np.ndarray       # trials by transmitter count
+    cache: int                # users served from their own cache
+    samples: int              # users over all trials
+
+
+def block_stats(cfg, sim, thetas, start, stop) -> BlockCounts:
+    """Counts over trials ``[start, stop)``, one realization at a time."""
     n = cfg.n_users
     succ = np.zeros(len(thetas), dtype=np.int64)
     cache_succ = 0
+    samples = 0
     mode_counts = np.zeros(len(Mode), dtype=np.int64)
     tx_hist = np.zeros(n + 1, dtype=np.int64)
     for trial in range(start, stop):
@@ -451,7 +457,8 @@ def block_stats(cfg, sim, thetas, start, stop):
         tx_hist[int(real.transmitters.sum())] += 1
         succ += trial_success(real, cfg.channel, thetas, sim.si_model).sum(axis=1)
         cache_succ += int(np.isin(real.modes, CACHE_MODES).sum())
-    return succ, cache_succ, (stop - start) * n, mode_counts, tx_hist
+        samples += real.modes.size
+    return BlockCounts(succ=succ, mode_counts=mode_counts, tx_hist=tx_hist, cache=cache_succ, samples=samples)
 
 
 @dataclass

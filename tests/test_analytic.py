@@ -347,11 +347,9 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
     ev, scale = _evaluator(CFG, None, si_model)
     work = ev.work_buffer()
     for n_t in (1, 2, 5, 40, 1000):
-        def point_mass(x, scratch):
-            return np.power(x, n_t - 1, out=x)
-
+        # Binomial(n_t, 1) is the point mass at n_t
         for s in (0.0, 0.1, 1.0, 10.0, 1000.0):
-            hdrx, fdtr = ev.count_average(ev.k_grid(s), s, scale, point_mass, si_model, work)
+            hdrx, fdtr = ev.count_average(ev.k_grid(s), s, scale, 1.0, n_t, si_model, work)
             assert abs(laplace_interference(s, HDRX, n_t, CFG, si_model=si_model) - hdrx) <= 1e-12
             assert abs(laplace_interference(s, FDTR, n_t, CFG, si_model=si_model) - fdtr) <= 1e-12
 

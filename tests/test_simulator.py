@@ -1,5 +1,6 @@
 import multiprocessing
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fdd2d import (
     ChannelConfig,
     DiskConfig,
     Mode,
+    ModeFrequencyReport,
     ModelConfig,
     SimConfig,
     build_zipf,
@@ -17,7 +19,9 @@ from fdd2d import (
     simulate_points,
 )
 from fdd2d.analytic import resolve_workers
-from fdd2d.simulator import _BLOCK_BYTES, RECEIVING_MODES, _block_stats, _pcg64_seeds, _simulate_block
+from fdd2d.simulator import (
+    _BLOCK_BYTES, _IS_CACHE, RECEIVING_MODES, _add, _block_stats, _fold, _pcg64_seeds, _seed_words, _simulate_block, _Tally,
+)
 from oracles import block_stats, link_sir, reference_modes, run_trial, sample_realization, trial_rng, trial_success
 
 CFG = ModelConfig(
@@ -223,21 +227,30 @@ def test_run_trial_single_user():
     assert result.success[0] == (result.realization.modes[0] == Mode.SR)
 
 
-def test_run_experiment_single_trial_single_user():
+def force_workers(monkeypatch, count):
+    # the pool is sized by resolve_workers, so this runs two workers on a
+    # one-CPU host too
+    monkeypatch.setattr("fdd2d.simulator.resolve_workers", lambda: count)
+
+
+def test_run_experiment_single_trial_single_user(monkeypatch):
     cfg = ModelConfig(1, DiskConfig(10.0), build_zipf(5, 1.0), ChannelConfig())
+    force_workers(monkeypatch, 1)
     for seed in range(8):
-        with simulate_points([cfg], SimConfig(trials=1, master_seed=seed), [1.0], workers=1) as points:
+        with simulate_points([cfg], SimConfig(trials=1, master_seed=seed), [1.0]) as points:
             curve, report = next(points)
         assert curve.p_total[0] in (0.0, 1.0)
         assert curve.p_total[0] == report.mode_counts[Mode.SR]
 
 
-def test_run_experiment_deterministic_across_workers():
+def test_run_experiment_deterministic_across_workers(monkeypatch):
     sim = SimConfig(trials=600, master_seed=42)
     thetas = [0.5, 2.0]
-    with simulate_points([CFG], sim, thetas, workers=1) as points:
+    force_workers(monkeypatch, 1)
+    with simulate_points([CFG], sim, thetas) as points:
         c1, r1 = next(points)
-    with simulate_points([CFG], sim, thetas, workers=2) as points:
+    force_workers(monkeypatch, 2)
+    with simulate_points([CFG], sim, thetas) as points:
         c2, r2 = next(points)
     np.testing.assert_array_equal(c1.p_total, c2.p_total)
     np.testing.assert_array_equal(c1.ci_halfwidth, c2.ci_halfwidth)
@@ -245,11 +258,12 @@ def test_run_experiment_deterministic_across_workers():
     np.testing.assert_array_equal(r1.tx_count_hist, r2.tx_count_hist)
 
 
-def test_run_experiment_repeatable():
+def test_run_experiment_repeatable(monkeypatch):
     sim = SimConfig(trials=300, master_seed=7)
-    with simulate_points([CFG], sim, [1.0], workers=1) as points:
+    force_workers(monkeypatch, 1)
+    with simulate_points([CFG], sim, [1.0]) as points:
         a, _ = next(points)
-    with simulate_points([CFG], sim, [1.0], workers=1) as points:
+    with simulate_points([CFG], sim, [1.0]) as points:
         b, _ = next(points)
     np.testing.assert_array_equal(a.p_total, b.p_total)
 
@@ -263,20 +277,22 @@ def test_simulate_points_rejects_bad_thresholds_before_any_pool(thetas, monkeypa
         raise AssertionError("a pool was opened")
 
     monkeypatch.setattr("fdd2d.simulator.ProcessPoolExecutor", no_pool)
+    force_workers(monkeypatch, 2)
     with pytest.raises(ValueError, match="thetas"):
-        with simulate_points([CFG], SimConfig(trials=3000), thetas, workers=2):
+        with simulate_points([CFG], SimConfig(trials=3000), thetas):
             pass
 
 
-def test_simulate_points_gives_each_point_its_lone_result():
+def test_simulate_points_gives_each_point_its_lone_result(monkeypatch):
     other = ModelConfig(6, DiskConfig(20.0), build_zipf(500, 0.8), ChannelConfig(alpha=3.0, beta=1e-2))
     sim = SimConfig(trials=1500, master_seed=11)
     thetas = [0.5, 2.0]
     for workers in (1, 2):
-        with simulate_points([CFG, other], sim, thetas, workers=workers) as points:
+        force_workers(monkeypatch, workers)
+        with simulate_points([CFG, other], sim, thetas) as points:
             pair = list(points)
         for cfg, (curve, report) in zip((CFG, other), pair):
-            with simulate_points([cfg], sim, thetas, workers=workers) as points:
+            with simulate_points([cfg], sim, thetas) as points:
                 (alone, alone_report), = points
             for name in ("thetas", "p_cache", "p_sir", "p_total", "ci_halfwidth"):
                 np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
@@ -285,16 +301,18 @@ def test_simulate_points_gives_each_point_its_lone_result():
             assert (report.trials, report.n_users) == (alone_report.trials, alone_report.n_users)
 
 
-def test_simulate_points_joins_the_pool_when_left_early():
+def test_simulate_points_joins_the_pool_when_left_early(monkeypatch):
     # the blocks still queued are cancelled and the workers joined
-    with simulate_points([CFG, CFG], SimConfig(trials=3000, master_seed=3), [1.0], workers=2) as points:
+    force_workers(monkeypatch, 2)
+    with simulate_points([CFG, CFG], SimConfig(trials=3000, master_seed=3), [1.0]) as points:
         next(points)
     assert multiprocessing.active_children() == []
 
 
-def test_mode_report_matches_theorem():
+def test_mode_report_matches_theorem(monkeypatch):
     sim = SimConfig(trials=60_000, master_seed=5)
-    with simulate_points([CFG], sim, [1.0], workers=2) as points:
+    force_workers(monkeypatch, 2)
+    with simulate_points([CFG], sim, [1.0]) as points:
         _, report = next(points)
     expected = expected_mode_vector(CFG.profile, CFG.n_users)
     n_samples = sim.trials * CFG.n_users
@@ -306,13 +324,14 @@ def test_mode_report_matches_theorem():
         assert abs(freq[k] - expected[k]) < 6 * sigma, Mode(k).name
 
 
-def test_transmitter_count_mean_and_marginals():
+def test_transmitter_count_mean_and_marginals(monkeypatch):
     # the per-user transmit probability and hence the mean count are exact;
     # the joint count is NOT binomial (requests couple the transmit events:
     # empirically P(N_t=0) sits far below (1-p_tx)**N), so only the moments
     # backed by linearity are asserted here
     sim = SimConfig(trials=60_000, master_seed=6)
-    with simulate_points([CFG], sim, [1.0], workers=2) as points:
+    force_workers(monkeypatch, 2)
+    with simulate_points([CFG], sim, [1.0]) as points:
         _, report = next(points)
     p_tx = compute_mode_probabilities(CFG.profile, CFG.n_users).p_tx
     counts = np.arange(CFG.n_users + 1)
@@ -356,10 +375,16 @@ def gate_config(n_users, gamma_r, beta):
     return ModelConfig(n_users, DiskConfig(30.0), build_zipf(1000, gamma_r), ChannelConfig(4.0, beta))
 
 
+def assert_tallies_equal(got, want):
+    # every field of the package's tally, so a field that want lacks fails
+    for name in _Tally._fields:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 def assert_counts_equal(got, want):
-    names = ("successes per threshold", "cache hits", "user samples", "mode counts", "n_t histogram")
-    for name, g, w in zip(names, got, want):
-        np.testing.assert_array_equal(g, w, err_msg=name)
+    """The package's tally equals the oracle's counts, and so do the cache hits _fold derives from it."""
+    assert_tallies_equal(got, want)
+    assert got.mode_counts[_IS_CACHE].sum() == want.cache
 
 
 @pytest.mark.parametrize("si_model", ["per-interferer", "single"])
@@ -432,7 +457,38 @@ def test_block_cut_leaves_task_counts_unchanged(monkeypatch):
     args = (cfg, SimConfig(trials=1, master_seed=38), GATE_THETAS, 5, 1030)
     default = _block_stats(args)
     monkeypatch.setattr("fdd2d.simulator._BLOCK_TRIALS", 7)
-    assert_counts_equal(_block_stats(args), default)
+    assert_tallies_equal(_block_stats(args), default)
+
+
+def test_task_cut_leaves_counts_unchanged():
+    # two pool tasks add up, field by field, to the tally of one task over
+    # both of their trials
+    cfg = gate_config(40, 1.2, 1e-2)
+    sim = SimConfig(trials=1, master_seed=38)
+    whole = _block_stats((cfg, sim, GATE_THETAS, 5, 1030))
+    parts = [_block_stats((cfg, sim, GATE_THETAS, a, b)) for a, b in ((5, 517), (517, 1030))]
+    assert_tallies_equal(_add(*parts), whole)
+
+
+def test_fold_divides_by_the_oracle_cache_and_sample_counts():
+    # _fold derives the cache hits from the mode counts and the user samples
+    # as trials * N; over two pool tasks both equal the oracle's own counts
+    cfg = gate_config(10, 1.2, 1e-2)
+    sim = SimConfig(trials=200, master_seed=40)
+    want = block_stats(cfg, sim, GATE_THETAS, 0, sim.trials)
+    tasks = [(cfg, sim, GATE_THETAS, a, b) for a, b in ((0, 77), (77, 200))]
+    curve, _ = _fold(cfg, sim, GATE_THETAS, map(_block_stats, tasks))
+    np.testing.assert_array_equal(curve.p_cache, want.cache / want.samples)
+    np.testing.assert_array_equal(curve.p_sir, (want.succ - want.cache) / want.samples)
+    np.testing.assert_array_equal(curve.p_total, want.succ / want.samples)
+
+
+def test_tally_fields_are_integer_counts():
+    # a float statistic would make the sum depend on how trials are cut
+    # among workers
+    tally = _block_stats((gate_config(10, 1.2, 1e-2), SimConfig(trials=1, master_seed=39), GATE_THETAS, 0, 300))
+    for name in _Tally._fields:
+        assert np.issubdtype(getattr(tally, name).dtype, np.integer), name
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -445,7 +501,8 @@ def test_block_seeds_equal_seed_sequence(master_seed):
     # holds the trials next to the edge
     for trial in TRIAL_EDGES:
         start = max(0, trial - 1)
-        seeds = _pcg64_seeds(master_seed, start, trial + 2)
+        seeds = _pcg64_seeds(_seed_words(master_seed, start, trial + 2))
+        assert len(seeds) == trial + 2 - start
         for t, seed in zip(range(start, trial + 2), seeds):
             state = np.random.PCG64(np.random.SeedSequence((master_seed, t))).state["state"]
             assert seed == (state["state"], state["inc"]), (master_seed, t)
@@ -512,6 +569,18 @@ def test_block_memory_stays_within_twice_the_budget(n_users, count):
     assert peak <= 2 * _BLOCK_BYTES
 
 
+def test_task_memory_holds_one_running_tally():
+    # at N > 256 each kernel block is one trial; the task adds every block's
+    # tally in as it is made, so thousands of thresholds cost one tally, not
+    # one per block
+    cfg = gate_config(257, 1.2, 1e-2)
+    sim = SimConfig(trials=1, master_seed=37)
+    # a first call outside the trace loads numpy's lazily imported modules
+    _block_stats((cfg, sim, GATE_THETAS, 0, 1))
+    _, peak = traced_peak(_block_stats, (cfg, sim, np.geomspace(0.1, 1000.0, 4001), 0, 32))
+    assert peak <= 2 * _BLOCK_BYTES
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("trials", 2.5), ("trials", 600.0), ("trials", True), ("master_seed", 1.5), ("master_seed", np.float64(3)),
@@ -527,6 +596,17 @@ def test_sim_config_rejects_non_integral_counts_and_seeds(field, value):
 def test_sim_config_takes_numpy_integers():
     sim = SimConfig(trials=np.int32(5), master_seed=np.uint64(2**64 - 1))
     assert (sim.trials, int(sim.master_seed)) == (5, 2**64 - 1)
+
+
+def test_configs_store_numpy_integers_as_int():
+    # a numpy count wrapped in the product trials * n_users
+    sim = SimConfig(trials=np.int32(300_000_000), master_seed=np.uint64(2**64 - 1))
+    cfg = ModelConfig(np.int32(10), DiskConfig(30.0), build_zipf(1000, 1.2), ChannelConfig())
+    assert [type(v) for v in (sim.trials, sim.master_seed, cfg.n_users)] == [int, int, int]
+    report = ModeFrequencyReport(np.ones(7, np.int64), np.ones(11, np.int64), sim.trials, cfg.n_users)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(report.mode_frequencies, 1 / 3_000_000_000)
 
 
 def test_sim_config_validation():
