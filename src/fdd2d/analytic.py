@@ -179,21 +179,18 @@ class _LaplaceEvaluator:
         n_vt = self.vt_weight.size
         return np.empty(max(_WORK_BYTES // 8, self.tile_floats, 2 * n_vt + self.count_row))
 
-    def k_grid(self, s: float) -> np.ndarray:
-        """Inner (wi, zi) expectation of wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid, cached per s."""
-        key = float(s)
-        cached = self._k_cache.get(key)
-        return cached if cached is not None else self._build_kernels([key], np.empty(self.tile_floats))[0]
-
     def kernels(self, ss, work: np.ndarray) -> dict:
         """The kernel of each s in ``ss``, keyed by ``float(s)``.
 
-        Kernels not cached are built in up to :func:`resolve_workers` parts,
-        part ``p`` taking every ``parts``-th missing s from the ``p``-th and
-        building them in its own tile-sized slice of ``work``, a
-        :meth:`work_buffer`.  This thread builds part 0 and one new thread
-        each other part; the tiles do not depend on the part count, so
-        neither do the kernels.  Every new thread has ended when this returns.
+        The kernel at s is the inner (wi, zi) expectation of
+        wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid.  Kernels not
+        cached are built in up to :func:`resolve_workers` parts, part ``p``
+        taking every ``parts``-th missing s from the ``p``-th and building
+        them in its own tile-sized slice of ``work``, a :meth:`work_buffer`
+        or, for this thread alone, one tile (``tile_floats``).  This thread
+        builds part 0 and one new thread each other part; the tiles do not
+        depend on the part count, so neither do the kernels.  Every new
+        thread has ended when this returns.
         """
         found = {s: self._k_cache.get(s) for s in map(float, ss)}
         missing = [s for s, k in found.items() if k is None]
@@ -376,7 +373,7 @@ def laplace_interference(
         raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
     ev, scale = _evaluator(cfg, spec, si_model)
     m = int(n_t) - 1
-    k_m = ev.k_grid(s) ** m
+    k_m = ev.kernels([s], np.empty(ev.tile_floats))[float(s)] ** m
     if delta == FDTR:
         # A point-mass count needs no (v, t, z0) grid: (K*e_k)**m = K**m * e_k**m.
         si_power = m if si_model == SI_PER_INTERFERER else 1

@@ -28,10 +28,10 @@ __all__ = [
 _TRIALS_PER_BLOCK = 1024
 # Memory of a kernel block.  A block runs at most _BLOCK_TRIALS trials and,
 # beyond one trial, no more than keep its whole float64 fading array
-# (trials, n_users, n_users) within _BLOCK_BYTES.  Each trial's stream is
-# visited once; only a lone trial over the budget (N > 256) draws its fading
-# in a second pass, in chunks of _BLOCK_BYTES, keeping the transmitter rows,
-# so no block holds the full fading matrix of a large network.
+# (trials, n_users, n_users) within _BLOCK_BYTES.  Every trial's stream is
+# visited once; a lone trial over the budget (N > 256) draws its fading in
+# chunks of _BLOCK_BYTES, keeping the transmitter rows, so no block holds the
+# full fading matrix of a large network.
 _BLOCK_BYTES = 512 << 10
 _BLOCK_TRIALS = 128
 
@@ -229,11 +229,13 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, wor
     trial's seeded state from its column of ``words`` once for all of them; a
     task passes every block its slice of the task's seed words and its one
     generator.  Only the rows of transmitters are kept, since only they carry
-    signal or interference.  A lone trial with its fading array over _BLOCK_BYTES is
-    set once more, past its uniforms, to draw its transmitter rows in chunks
-    and its picks.  Everything else runs once for the whole block, and one
-    distance matrix, transmitter rows by users, gives the interfering, the
-    target and the serving link distances.
+    signal or interference.  Every trial's stream is visited once: a block
+    whose fading array exceeds _BLOCK_BYTES holds one trial (more are a
+    ``ValueError``), which is classified after its uniforms and then draws
+    its transmitter rows in chunks, and its picks, from where the uniforms
+    left the generator.  Everything else runs once for the whole block, and
+    one distance matrix, transmitter rows by users, gives the interfering,
+    the target and the serving link distances.
 
     User ``k`` (0-based) caches content ``k + 1``.  Each transmitter serves
     one of the users requesting its content, picked uniformly, and inverts
@@ -247,23 +249,20 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, wor
     n = cfg.n_users
     alpha = cfg.channel.alpha
     count = stop - start
-    seeds = _pcg64_seeds(_seed_words(sim.master_seed, start, stop) if words is None else words)
-    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
-    bit_generator = rng.bit_generator
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-
-    def seed(b):
-        seeded["state"], seeded["inc"] = seeds[b]
-        bit_generator.state = state
-
     # true in every block of _block_stats but a lone trial at N > 256
     whole = count * n * n * 8 <= _BLOCK_BYTES
+    if not whole and count > 1:
+        raise ValueError(f"a block over the fading budget holds one trial, got {count} at n_users={n}")
+    seeds = _pcg64_seeds(_seed_words(sim.master_seed, start, stop) if words is None else words)
+    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
     uniforms = np.empty((count, 3, n))
     full = np.empty((count, n, n)) if whole else None
     picks = np.empty((count, n))
     for b in range(count):
-        seed(b)
+        seeded["state"], seeded["inc"] = seeds[b]
+        rng.bit_generator.state = state
         rng.random(out=uniforms[b])
         if whole:
             rng.standard_exponential(out=full[b])
@@ -285,19 +284,14 @@ def _simulate_block(cfg: ModelConfig, sim: SimConfig, start: int, stop: int, wor
         fading = full.reshape(count * n, n)[tx_flat]
         del full
     else:
+        # the lone trial's generator stands where its uniforms left it
         fading = np.empty((tx_flat.size, n))
-        row_start = np.concatenate(([0], np.cumsum(tx_count)))
         chunk = max(1, _BLOCK_BYTES // (8 * n))
-        for b in range(count):
-            seed(b)
-            bit_generator.advance(3 * n)
-            first = row_start[b]
-            users = row_user[first:row_start[b + 1]]
-            for lo in range(0, n, chunk):
-                drawn = rng.standard_exponential((min(chunk, n - lo), n))
-                a, z = np.searchsorted(users, (lo, lo + chunk))
-                fading[first + a:first + z] = drawn[users[a:z] - lo]
-            rng.random(out=picks[b])
+        for lo in range(0, n, chunk):
+            drawn = rng.standard_exponential((min(chunk, n - lo), n))
+            a, z = np.searchsorted(row_user, (lo, lo + chunk))
+            fading[a:z] = drawn[row_user[a:z] - lo]
+        rng.random(out=picks[0])
 
     # Each transmitter's requesters in ascending user order, grouped by the
     # flat index of the server they request from.

@@ -272,10 +272,10 @@ def test_criterion_7_user_count_crossover():
     assert high_ok
     assert elapsed < 1800
     # interference already dominates at -10 dB for this geometry: the curves
-    # do cross, but near -25 dB; asserted at the stated threshold regardless
+    # do cross, but at -26.2 dB; asserted at the stated threshold regardless
     assert low_ok, (
         f"P_s(N=40)={totals[40][0]:.4f} < P_s(N=5)={totals[5][0]:.4f} at -10 dB; the model's "
-        f"own simulation ranks them the same way, the crossover sits near -25 dB"
+        f"own simulation ranks them the same way, the crossover sits at -26.2 dB"
     )
 
 

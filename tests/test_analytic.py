@@ -349,7 +349,7 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
     for n_t in (1, 2, 5, 40, 1000):
         # Binomial(n_t, 1) is the point mass at n_t
         for s in (0.0, 0.1, 1.0, 10.0, 1000.0):
-            hdrx, fdtr = ev.count_average(ev.k_grid(s), s, scale, 1.0, n_t, si_model, work)
+            hdrx, fdtr = ev.count_average(ev.kernels([s], work)[s], s, scale, 1.0, n_t, si_model, work)
             assert abs(laplace_interference(s, HDRX, n_t, CFG, si_model=si_model) - hdrx) <= 1e-12
             assert abs(laplace_interference(s, FDTR, n_t, CFG, si_model=si_model) - fdtr) <= 1e-12
 
@@ -437,6 +437,32 @@ def test_warm_kernels_return_cached_arrays_without_building(monkeypatch):
     assert all(warm[s] is cold[s] for s in cold)
 
 
+def test_transform_reads_kernels_a_curve_cached(monkeypatch):
+    # success_curve and laplace_interference share one kernel cache, read and
+    # filled by kernels() alone
+    from fdd2d.analytic import _LaplaceEvaluator
+
+    built = []
+    build = _LaplaceEvaluator._build_kernels
+
+    def traced_build(self, ss, tile):
+        built.append(list(ss))
+        return build(self, ss, tile)
+
+    thetas = np.geomspace(0.1, 1000.0, 7)
+    _cold_curve(CFG, thetas, SI_MODELS[0])
+    monkeypatch.setattr(_LaplaceEvaluator, "_build_kernels", traced_build)
+    for si_model in SI_MODELS:
+        for delta in (HDRX, FDTR):
+            for theta in thetas:
+                laplace_interference(float(theta), delta, 3, CFG, si_model=si_model)
+    assert built == []
+    # a threshold the curve did not see is built, once
+    laplace_interference(0.5, HDRX, 3, CFG)
+    laplace_interference(0.5, FDTR, 3, CFG)
+    assert built == [[0.5]]
+
+
 @pytest.mark.parametrize("alpha", [2.2, 4.0])
 @pytest.mark.parametrize("nodes", [{}, {"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}], ids=["default", "small"])
 def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
@@ -451,7 +477,7 @@ def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
     assert ev.tile_rows == (2 if nodes else spec.nodes("v"))
     for s in (1e-3, 1.0, 1e3):
         want = reference_k_grid(alpha, spec.nodes_per_level, s)
-        got = ev.k_grid(s)
+        got = ev.kernels([s], ev.work_buffer())[s]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 

@@ -366,7 +366,7 @@ def test_worker_env_does_not_change_results(tmp_path):
 
 def test_workers_run_both_draw_paths_alike(tmp_path):
     # N = 10 blocks draw each trial's fading whole; a lone trial at N = 300
-    # is over the block budget and draws its transmitter rows in a second pass
+    # is over the block budget and draws its transmitter rows in chunks
     args = ["--mode", "simulate", "--n-users", "10", "--sweep", "n_users=10,300", "--trials", "600", "--seed", "3"]
     csvs = []
     for threads in ("1", "2"):

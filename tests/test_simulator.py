@@ -421,8 +421,8 @@ def test_block_counts_at_thresholds_equal_to_sirs():
 
 
 # N = 256 is the largest lone trial whose whole fading array fits
-# _BLOCK_BYTES, drawn in one visit to its stream; N = 257 draws its
-# transmitter rows in a second pass
+# _BLOCK_BYTES; N = 257 draws its transmitter rows in chunks.  Either visits
+# its stream once
 @pytest.mark.parametrize("n_users", [1, 2, 3, 10, 40, 200, 256, 257])
 def test_block_of_one_replays_oracle_trial_bitwise(n_users):
     for si_model in ("per-interferer", "single"):
@@ -448,6 +448,13 @@ def test_block_counts_equal_oracle_on_either_draw_path(n_users):
         cfg = gate_config(n_users, 1.2, 1e-2)
         args = (cfg, SimConfig(trials=1, master_seed=36, si_model=si_model), GATE_THETAS, 3, 7)
         assert_counts_equal(_block_stats(args), block_stats(*args))
+
+
+def test_block_over_budget_holds_one_trial():
+    # only a lone trial may draw its fading in chunks
+    cfg = gate_config(257, 1.2, 1e-2)
+    with pytest.raises(ValueError, match="holds one trial"):
+        _simulate_block(cfg, SimConfig(trials=2, master_seed=36), 0, 2)
 
 
 def test_block_cut_leaves_task_counts_unchanged(monkeypatch):
