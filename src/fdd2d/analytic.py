@@ -45,14 +45,13 @@ SI_PER_INTERFERER = "per-interferer"
 SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
-# Bytes of the one work buffer that a curve allocates per call.  The kernel
-# threads each build in their own tile-sized slice of it, and the count average
-# runs in v-chunks that fit it (at least one v row each), so peak memory stays
-# bounded whatever node counts and CPU count there are.  Reusing one buffer
-# instead of a fresh block per chunk keeps large temporaries out of the
-# allocator and its page faults.  Of 0.5, 1, 2, 3 and 4 MiB, 2 MiB is the
-# smallest at which the radius sweep is fastest: the default count average
-# then fits one chunk, and larger buffers only add RSS.
+# Bytes of the work buffer a curve's count average runs in, in v-chunks that
+# fit it (at least one v row each), and the most that one kernel build's tiles
+# take at once, so peak memory stays bounded whatever node counts and CPU count
+# there are.  Reusing one buffer instead of a fresh block per chunk keeps large
+# temporaries out of the allocator and its page faults.  Of 0.5, 1, 2, 3 and
+# 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest: the
+# default count average then fits one chunk, and larger buffers only add RSS.
 _WORK_BYTES = 2 << 20
 
 # Bytes of one kernel tile: the (zi, v*angle) block of one interferer offset t
@@ -99,6 +98,21 @@ class ModelConfig:
                 f"n_users={self.n_users} exceeds library size m={self.profile.m}; "
                 f"each user caches a distinct content"
             )
+        self.check_distance_powers(self.disk.radius, self.channel.alpha)
+
+    @staticmethod
+    def check_distance_powers(radius: float, alpha: float) -> None:
+        """Check that link distances up to the diameter raise to +-alpha within float64.
+
+        The simulator takes ``W**-alpha`` and ``Z**alpha`` of distances up to
+        ``2 * radius``, and the transform scales SI by ``beta * radius**alpha``.
+        """
+        with np.errstate(over="ignore"):
+            powers = np.power([2.0 * radius, radius], [alpha, -alpha])
+        if not np.all(np.isfinite(powers)):
+            raise ValueError(
+                f"radius={radius} and alpha={alpha} take (2*radius)**alpha or radius**-alpha out of float64 range"
+            )
 
 
 class SuccessProbability(NamedTuple):
@@ -115,7 +129,6 @@ class SuccessCurve:
     p_cache: float
     p_sir: np.ndarray
     p_total: np.ndarray
-    source: str  # "analytic" or "simulated"
     ci_halfwidth: Optional[np.ndarray] = None  # 95% normal CI, simulated curves only
 
 
@@ -136,9 +149,9 @@ class _LaplaceEvaluator:
     z = 1 - offset).
 
     One evaluator is shared process-wide by :func:`_unit_evaluator`, so it
-    holds nodes, weights and finished kernels only: each call brings its own
-    work buffer (:meth:`work_buffer`), and concurrent callers share nothing
-    they write.  A cached kernel is read-only.
+    holds nodes, weights and finished kernels only: each call builds in tiles
+    of its own and averages in its own work buffer (:meth:`work_buffer`), and
+    concurrent callers share nothing they write.  A cached kernel is read-only.
     """
 
     def __init__(self, alpha: float, node_items: tuple):
@@ -175,40 +188,33 @@ class _LaplaceEvaluator:
         self._k_cache: dict = {}
 
     def work_buffer(self) -> np.ndarray:
-        """One call's scratch: _WORK_BYTES, or more if one kernel tile or one v row of the count average needs it."""
-        n_vt = self.vt_weight.size
-        return np.empty(max(_WORK_BYTES // 8, self.tile_floats, 2 * n_vt + self.count_row))
+        """One count average's scratch: _WORK_BYTES, or more if one v row of it needs it."""
+        return np.empty(max(_WORK_BYTES // 8, 2 * self.vt_weight.size + self.count_row))
 
-    def kernels(self, ss, work: np.ndarray) -> dict:
+    def kernels(self, ss) -> dict:
         """The kernel of each s in ``ss``, keyed by ``float(s)``.
 
         The kernel at s is the inner (wi, zi) expectation of
         wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid.  Kernels not
-        cached are built in up to :func:`resolve_workers` parts, part ``p``
-        taking every ``parts``-th missing s from the ``p``-th and building
-        them in its own tile-sized slice of ``work``, a :meth:`work_buffer`
-        or, for this thread alone, one tile (``tile_floats``).  This thread
-        builds part 0 and one new thread each other part; the tiles do not
-        depend on the part count, so neither do the kernels.  Every new
-        thread has ended when this returns.
+        cached are built in up to :func:`resolve_workers` parts, no more than
+        fit their tiles (``tile_floats`` each) in _WORK_BYTES; part ``p``
+        takes every ``parts``-th missing s from the ``p``-th and builds them
+        in a tile of its own.  This thread builds part 0 and one pool thread
+        each other part; the tiles do not depend on the part count, so neither
+        do the kernels.  Every pool thread has ended when this returns.
         """
         found = {s: self._k_cache.get(s) for s in map(float, ss)}
         missing = [s for s, k in found.items() if k is None]
         if not missing:
             return found
-        parts = 1
-        if len(missing) > 1:
-            parts = min(resolve_workers(), len(missing), work.size // self.tile_floats)
+        parts = min(resolve_workers(), len(missing), max(1, _WORK_BYTES // (8 * self.tile_floats)))
 
         def build(p):
             part = missing[p::parts]
-            tile = work[p * self.tile_floats : (p + 1) * self.tile_floats]
-            found.update(zip(part, self._build_kernels(part, tile)))
+            found.update(zip(part, self._build_kernels(part, np.empty(self.tile_floats))))
 
-        if parts == 1:
-            build(0)
-            return found
-        with ThreadPoolExecutor(parts - 1) as pool:
+        # a pool starts no thread before a submit, so one part stays on this thread
+        with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
             others = [pool.submit(build, p) for p in range(1, parts)]
             build(0)
             for part in others:
@@ -373,7 +379,7 @@ def laplace_interference(
         raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
     ev, scale = _evaluator(cfg, spec, si_model)
     m = int(n_t) - 1
-    k_m = ev.kernels([s], np.empty(ev.tile_floats))[float(s)] ** m
+    k_m = ev.kernels([s])[float(s)] ** m
     if delta == FDTR:
         # A point-mass count needs no (v, t, z0) grid: (K*e_k)**m = K**m * e_k**m.
         si_power = m if si_model == SI_PER_INTERFERER else 1
@@ -486,14 +492,15 @@ def success_curve(
     ev, scale = _evaluator(cfg, spec, si_model)
     p_cache = success_probability_cache(cfg)
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
-    work = ev.work_buffer()
     values = thetas.tolist()
     p_sir = np.empty(thetas.size)
     # a batch's kernels are built on every CPU, then held here, out of reach of
-    # a cache clear, while the count averages run serially on them
+    # a cache clear, while the count averages run serially on them in a work
+    # buffer taken once the build's tiles are freed
     for lo in range(0, len(values), _KERNEL_CACHE):
         batch = values[lo : lo + _KERNEL_CACHE]
-        kernels = ev.kernels(batch, work)
+        kernels = ev.kernels(batch)
+        work = ev.work_buffer()
         for i, theta in enumerate(batch, lo):
             hdrx, fdtr = ev.count_average(kernels[theta], theta, scale, mp.p_tx, cfg.n_users, si_model, work)
             p_sir[i] = mp.p_hdrx * hdrx + mp.p_fdtr * fdtr
@@ -502,5 +509,4 @@ def success_curve(
         p_cache=p_cache,
         p_sir=p_sir,
         p_total=p_cache + p_sir,
-        source="analytic",
     )

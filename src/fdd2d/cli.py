@@ -298,6 +298,12 @@ def parse_args(argv=None) -> ExperimentSpec:
     for name, values in sweep:
         if name == "n_users" and max(values) > args.library_size:
             error(f"--sweep n_users values must not exceed --library-size ({args.library_size})")
+    radii = dict(sweep).get("radius")
+    for radius in radii or [args.radius]:
+        try:
+            ModelConfig.check_distance_powers(radius, args.alpha)
+        except ValueError as exc:
+            error(f"{'--sweep radius' if radii else '--radius'} and --alpha: {exc}")
 
     return ExperimentSpec(
         mode=args.mode,

@@ -36,7 +36,6 @@ class ModeProbabilities:
     p_hdtx: float
     p_ho: float
     p_tx: float
-    n_users: int
 
 
 def _undemanded(rho: np.ndarray, n_users: int) -> np.ndarray:
@@ -92,5 +91,4 @@ def compute_mode_probabilities(profile: PopularityProfile, n_users: int) -> Mode
         p_hdtx=_snap_unit(p_hdtx),
         p_ho=_snap_unit(p_ho),
         p_tx=_snap_unit(p_tx),
-        n_users=int(n_users),
     )

@@ -14,6 +14,10 @@ __all__ = [
     "request_of_uniform",
 ]
 
+# Contents per long-double chunk of the prefix sums, so build_zipf holds no
+# more than rho, the prefix and one chunk at once.
+_PREFIX_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class PopularityProfile:
@@ -61,11 +65,19 @@ def build_zipf(m: int, gamma_r: float) -> PopularityProfile:
         raise ValueError(f"library size must be at least 1, got m={m}")
     if not math.isfinite(gamma_r) or gamma_r < 0:
         raise ValueError(f"skew exponent must be finite and nonnegative, got gamma_r={gamma_r}")
-    ranks = np.arange(1, m + 1, dtype=np.float64)
-    weights = ranks ** -float(gamma_r)
-    rho = weights / np.sum(weights)
-    # plain float64 cumsum can drift past the 1e-12 budget for m near 1e6
-    prefix = np.cumsum(rho.astype(np.longdouble)).astype(np.float64)
+    rho = np.arange(1, m + 1, dtype=np.float64)
+    rho **= -float(gamma_r)
+    rho /= np.sum(rho)
+    # plain float64 cumsum can drift past the 1e-12 budget for m near 1e6; the
+    # carry joins each chunk's first term, so the additions are a straight cumsum's
+    prefix = np.empty(m)
+    carry = np.longdouble(0.0)
+    for lo in range(0, m, _PREFIX_CHUNK):
+        part = rho[lo : lo + _PREFIX_CHUNK].astype(np.longdouble)
+        part[0] += carry
+        np.cumsum(part, out=part)
+        carry = part[-1]
+        prefix[lo : lo + part.size] = part
     return PopularityProfile(m=int(m), gamma_r=float(gamma_r), rho=rho, p_hit_prefix=prefix)
 
 

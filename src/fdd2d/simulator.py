@@ -101,10 +101,6 @@ class ModeFrequencyReport:
     def mode_frequencies(self) -> np.ndarray:
         return self.mode_counts / (self.trials * self.n_users)
 
-    @property
-    def tx_count_frequencies(self) -> np.ndarray:
-        return self.tx_count_hist / self.trials
-
 
 def classify_modes(requests, n_users: int):
     """Label every user with its operating mode and flag the transmitters.
@@ -393,7 +389,6 @@ def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, tallies):
         p_cache=cache / samples,
         p_sir=(tally.succ - cache) / samples,
         p_total=p_total,
-        source="simulated",
         ci_halfwidth=ci,
     )
     report = ModeFrequencyReport(

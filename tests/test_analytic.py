@@ -58,6 +58,13 @@ def test_model_config_validation():
         ModelConfig(0, DiskConfig(10.0), profile, ChannelConfig())
 
 
+@pytest.mark.parametrize("radius, alpha", [(1e80, 4.0), (1e300, 4.0), (1e-200, 4.0), (30.0, 1000.0)])
+def test_model_config_rejects_distance_powers_out_of_float64(radius, alpha):
+    # the simulator raises distances up to the diameter to +-alpha
+    with pytest.raises(ValueError, match="float64"):
+        ModelConfig(5, DiskConfig(radius), CFG.profile, ChannelConfig(alpha=alpha))
+
+
 def test_laplace_at_zero_is_one():
     for delta in (HDRX, FDTR):
         for n_t in (1, 3):
@@ -349,15 +356,15 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
     for n_t in (1, 2, 5, 40, 1000):
         # Binomial(n_t, 1) is the point mass at n_t
         for s in (0.0, 0.1, 1.0, 10.0, 1000.0):
-            hdrx, fdtr = ev.count_average(ev.kernels([s], work)[s], s, scale, 1.0, n_t, si_model, work)
+            hdrx, fdtr = ev.count_average(ev.kernels([s])[s], s, scale, 1.0, n_t, si_model, work)
             assert abs(laplace_interference(s, HDRX, n_t, CFG, si_model=si_model) - hdrx) <= 1e-12
             assert abs(laplace_interference(s, FDTR, n_t, CFG, si_model=si_model) - fdtr) <= 1e-12
 
 
 def test_cold_curve_memory_is_bounded(monkeypatch):
-    # one work buffer per call, the kernel threads build in slices of it, and
-    # the count average runs in v-chunks inside it: memory grows with neither
-    # the node counts nor the CPU count
+    # the kernel threads build in tiles of their own, no more tiles than fit
+    # _WORK_BYTES, and the count average runs in v-chunks of one work buffer:
+    # memory grows with neither the node counts nor the CPU count
     import tracemalloc
 
     from fdd2d.analytic import _unit_evaluator
@@ -375,6 +382,29 @@ def test_cold_curve_memory_is_bounded(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, (cpus, nodes, peak / 2**20)
+
+
+def test_kernel_build_parts_fit_the_work_budget(monkeypatch):
+    # on 64 CPUs a cold 41-threshold curve still builds no more tiles at once
+    # than fit _WORK_BYTES: four at default nodes
+    from fdd2d import analytic
+
+    parts = []
+    build = analytic._LaplaceEvaluator._build_kernels
+
+    def traced_build(self, ss, tile):
+        parts.append(tile.size)
+        return build(self, ss, tile)
+
+    monkeypatch.delenv("FD_D2D_THREADS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(analytic._LaplaceEvaluator, "_build_kernels", traced_build)
+    _cold_curve(CFG, 10.0 ** (np.arange(-10, 31) / 10.0), SI_MODELS[0])
+    tile_floats = parts[0]
+    assert set(parts) == {tile_floats}
+    budget = max(1, analytic._WORK_BYTES // (8 * tile_floats))
+    assert budget == 4
+    assert len(parts) == budget
 
 
 def test_concurrent_curves_match_serial_calls():
@@ -421,18 +451,17 @@ def test_concurrent_curves_match_serial_calls():
 
 
 def test_warm_kernels_return_cached_arrays_without_building(monkeypatch):
-    # with every kernel cached nothing is built, so even a work array smaller
-    # than one tile serves
+    # with every kernel cached nothing is built
     from fdd2d import analytic
 
     ev = analytic._LaplaceEvaluator(4.0, QuadratureSpec({"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}).node_items())
-    cold = ev.kernels([0.5, 2.0], ev.work_buffer())
+    cold = ev.kernels([0.5, 2.0])
 
     def no_build(ss, tile):
         raise AssertionError(f"built kernels {ss}")
 
     monkeypatch.setattr(ev, "_build_kernels", no_build)
-    warm = ev.kernels([0.5, 2.0], np.empty(10))
+    warm = ev.kernels([0.5, 2.0])
     assert warm.keys() == cold.keys()
     assert all(warm[s] is cold[s] for s in cold)
 
@@ -477,7 +506,7 @@ def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
     assert ev.tile_rows == (2 if nodes else spec.nodes("v"))
     for s in (1e-3, 1.0, 1e3):
         want = reference_k_grid(alpha, spec.nodes_per_level, s)
-        got = ev.kernels([s], ev.work_buffer())[s]
+        got = ev.kernels([s])[s]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 

@@ -104,6 +104,42 @@ def test_sweepable_value_out_of_range_exits_2(name, flag, bad, tmp_path, capsys)
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--radius", "1e80"], "--radius"),
+        (["--radius", "1e-200"], "--radius"),
+        (["--alpha", "1000"], "--alpha"),
+        (["--sweep", "radius=30,1e80"], "--sweep radius"),
+        (["--config", "radius.cfg"], "--radius"),
+    ],
+)
+def test_distance_powers_out_of_float64_exit_2(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "radius.cfg").write_text("radius = 1e300\n")
+    for mode in ("analytic", "simulate"):
+        out = tmp_path / f"{mode}.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", mode, "--n-users", "5", *argv, "--theta-db", "0:0:1", "--trials", "10", "--out", str(out)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--radius", "1e30"], ["--radius", "1e-30"], ["--alpha", "100"]])
+def test_extreme_distance_powers_run_without_warnings(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fdd2d.cli", "--mode", "both", "--n-users", "5", *argv,
+         "--theta-db", "0:10:10", "--trials", "500", "--out", str(out)],
+        capture_output=True, text=True, env=REPO_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    for row in read_rows(out):
+        for column in ("p_total_analytic", "p_total_sim"):
+            assert 0.0 <= float(row[column]) <= 1.0
+
+
 def test_n_users_above_library_exits_2():
     with pytest.raises(SystemExit) as exc:
         parse_args(["--n-users", "50", "--library-size", "10"])

@@ -37,12 +37,12 @@ def test_rejects_more_users_than_contents():
         compute_mode_probabilities(profile, 6)
 
 
-def _check_identities(mp, p_hit):
+def _check_identities(mp, p_hit, n_users):
     top_level = mp.p_sr + mp.p_sr_hdtx + mp.p_fdtr + mp.p_hdtx + mp.p_hdrx + mp.p_ho
     assert top_level == pytest.approx(1.0, abs=IDENTITY_TOL)
     assert mp.p_fdtr == pytest.approx(mp.p_bfd + mp.p_tnfd, abs=IDENTITY_TOL)
     assert mp.p_tx == pytest.approx(mp.p_sr_hdtx + mp.p_hdtx + mp.p_fdtr, abs=IDENTITY_TOL)
-    assert mp.p_sr + mp.p_sr_hdtx == pytest.approx(p_hit / mp.n_users, abs=IDENTITY_TOL)
+    assert mp.p_sr + mp.p_sr_hdtx == pytest.approx(p_hit / n_users, abs=IDENTITY_TOL)
     for name in ("p_sr", "p_sr_hdtx", "p_fdtr", "p_bfd", "p_tnfd", "p_hdrx", "p_hdtx", "p_ho", "p_tx"):
         value = getattr(mp, name)
         assert 0.0 <= value <= 1.0, f"{name}={value}"
@@ -58,7 +58,7 @@ def test_identities_property(m, gamma_r, n_frac):
     profile = build_zipf(m, gamma_r)
     n_users = 1 + int(n_frac * (m - 1))
     mp = compute_mode_probabilities(profile, n_users)
-    _check_identities(mp, profile.p_hit_prefix[n_users - 1])
+    _check_identities(mp, profile.p_hit_prefix[n_users - 1], n_users)
 
 
 def test_pmf_hand_binomial():

@@ -27,6 +27,25 @@ def test_large_library_shape():
     assert abs(profile.p_hit_prefix[-1] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1000, 2 * (1 << 16) + 7])
+def test_prefix_matches_straight_long_double_cumsum(m):
+    # the second size puts two chunk boundaries inside the library
+    profile = build_zipf(m, 1.2)
+    np.testing.assert_array_equal(profile.p_hit_prefix, np.cumsum(profile.rho.astype(np.longdouble)).astype(np.float64))
+
+
+def test_build_peaks_near_its_kept_arrays():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        profile = build_zipf(10**6, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (profile.rho.nbytes + profile.p_hit_prefix.nbytes)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_zipf(0, 1.0)

@@ -335,7 +335,7 @@ def test_transmitter_count_mean_and_marginals(monkeypatch):
         _, report = next(points)
     p_tx = compute_mode_probabilities(CFG.profile, CFG.n_users).p_tx
     counts = np.arange(CFG.n_users + 1)
-    freq = report.tx_count_frequencies
+    freq = report.tx_count_hist / report.trials
     mean = float(np.dot(counts, freq))
     var = float(np.dot(counts**2, freq) - mean**2)
     assert abs(mean - CFG.n_users * p_tx) < 3 * np.sqrt(var / sim.trials)
