@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -46,20 +44,20 @@ SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
 # Bytes of the work buffer a curve's count average runs in, in v-chunks that
-# fit it (at least one v row each), and the most that one kernel build's tiles
-# take at once, so peak memory stays bounded whatever node counts and CPU count
-# there are.  Reusing one buffer instead of a fresh block per chunk keeps large
-# temporaries out of the allocator and its page faults.  Of 0.5, 1, 2, 3 and
-# 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest: the
-# default count average then fits one chunk, and larger buffers only add RSS.
+# fit it (at least one v row each), so peak memory stays bounded whatever the
+# node counts.  Reusing one buffer instead of a fresh block per chunk keeps
+# large temporaries out of the allocator and its page faults.  Of 0.5, 1, 2,
+# 3 and 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest:
+# the default count average then fits one chunk, and larger buffers only add
+# RSS.
 _WORK_BYTES = 2 << 20
 
-# Bytes of one kernel tile: the (zi, v*angle) block of one interferer offset t
-# for as many v rows as fit (at least one).  At default nodes every v row fits
-# in 454 KB, which stays in L2; halving the rows cost 6% of the kernel time.
-# The rows do not depend on the thread count, so neither do the kernel's bits,
-# and up to _WORK_BYTES // _TILE_BYTES threads build kernels at once.
-_TILE_BYTES = 512 << 10
+# Bytes of one kernel tile: for one interferer offset t and as many v rows as
+# fit (at least one), the (zi, v*angle) ratio block, the block of one
+# threshold's integrand, and two v*angle rows.  At default nodes every v row
+# fits in 0.9 MB, so a kernel build takes no more memory than the count
+# average's work buffer.
+_TILE_BYTES = 1 << 20
 
 # Kernels an evaluator caches, and so the most a curve builds, and holds, at once.
 _KERNEL_CACHE = 4096
@@ -149,7 +147,7 @@ class _LaplaceEvaluator:
     z = 1 - offset).
 
     One evaluator is shared process-wide by :func:`_unit_evaluator`, so it
-    holds nodes, weights and finished kernels only: each call builds in tiles
+    holds nodes, weights and finished kernels only: each call builds in a tile
     of its own and averages in its own work buffer (:meth:`work_buffer`), and
     concurrent callers share nothing they write.  A cached kernel is read-only.
     """
@@ -164,24 +162,25 @@ class _LaplaceEvaluator:
 
         phi, phi_wts = panel_rule(0.0, np.pi, n_phi)
         self.phi_weight = phi_wts / np.pi
-        # Law of cosines for the interferer distance wi, whose alpha-th power
-        # each kernel tile builds: wi**2 = v**2 + t**2 - 2*v*t*cos(phi).  The
+        # Law of cosines for the interferer distance wi, which each kernel
+        # tile builds: wi**2 = v**2 + t**2 - 2*v*t*cos(phi).  The
         # (t, v) layout gives a tile its v-chunk as one contiguous row.
         self.vt_sq = t_nodes[:, None] ** 2 + v_nodes[None, :] ** 2
         self.two_vt = 2.0 * np.outer(t_nodes, v_nodes)
         self.cos_phi = np.cos(phi)
         self.alpha = alpha
 
-        self.zi_pow, self.zi_wts = _link_nodes(t_nodes, nodes["zi"], alpha)
-        self.z0_pow, self.z0_wts = _link_nodes(v_nodes, nodes["z0"], alpha)
+        self.zi, self.zi_wts = _link_nodes(t_nodes, nodes["zi"])
+        z0, self.z0_wts = _link_nodes(v_nodes, nodes["z0"])
+        self.z0_pow = z0**alpha
 
-        self.grid_evaluations = n_v * n_phi * self.zi_pow.size
+        self.grid_evaluations = n_v * n_phi * self.zi.size
         self.z0_evaluations = self.z0_pow.size
-        # Floats one v row takes: in a kernel tile (the (zi, angle) block,
-        # wi**alpha and its zi reduction), and in the per-interferer count
-        # average (SI row, K*e product, _count_sum scratch).
+        # Floats one v row takes: in a kernel tile (the (zi, angle) ratio and
+        # integrand blocks, wi and the integrand's zi reduction), and in the
+        # per-interferer count average (SI row, K*e product, _count_sum scratch).
         n_tz = n_t * self.z0_pow.shape[1]
-        kernel_row = n_phi * (self.zi_pow.shape[1] + 2)
+        kernel_row = n_phi * (2 * self.zi.shape[1] + 2)
         self.tile_rows = max(1, min(n_v, _TILE_BYTES // (8 * kernel_row)))
         self.tile_floats = self.tile_rows * kernel_row
         self.count_row = self.z0_pow.shape[1] + n_tz + _count_sum_scratch(n_tz)
@@ -195,69 +194,54 @@ class _LaplaceEvaluator:
         """The kernel of each s in ``ss``, keyed by ``float(s)``.
 
         The kernel at s is the inner (wi, zi) expectation of
-        wi**alpha/(wi**alpha + s*zi**alpha) on the (v, t) grid.  Kernels not
-        cached are built in up to :func:`resolve_workers` parts, no more than
-        fit their tiles (``tile_floats`` each) in _WORK_BYTES; part ``p``
-        takes every ``parts``-th missing s from the ``p``-th and builds them
-        in a tile of its own.  This thread builds part 0 and one pool thread
-        each other part; the tiles do not depend on the part count, so neither
-        do the kernels.  Every pool thread has ended when this returns.
+        1/(1 + s*(zi/wi)**alpha) on the (v, t) grid.  Kernels not cached are
+        built on this thread, in one tile (``tile_floats``).
         """
         found = {s: self._k_cache.get(s) for s in map(float, ss)}
         missing = [s for s, k in found.items() if k is None]
-        if not missing:
-            return found
-        parts = min(resolve_workers(), len(missing), max(1, _WORK_BYTES // (8 * self.tile_floats)))
-
-        def build(p):
-            part = missing[p::parts]
-            found.update(zip(part, self._build_kernels(part, np.empty(self.tile_floats))))
-
-        # a pool starts no thread before a submit, so one part stays on this thread
-        with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
-            others = [pool.submit(build, p) for p in range(1, parts)]
-            build(0)
-            for part in others:
-                part.result()
+        if missing:
+            found.update(zip(missing, self._build_kernels(missing, np.empty(self.tile_floats))))
         return found
 
     def _build_kernels(self, ss: list, tile: np.ndarray) -> list:
         """Compute and cache the kernel at each s of ``ss`` in (zi, v*angle) tiles inside ``tile``.
 
-        Per interferer offset t and chunk of v rows, wi**alpha is one row,
-        built once for every s; each s then fills the tile with that row plus
-        the column s*zi**alpha, and reduces it over zi and the angle.  Building
-        the row once keeps its small array operations, each of which hands
-        the interpreter lock to another kernel thread, out of the loop over s
-        (41 kernels on two threads: 142-163 ms with the row built per s,
-        110-127 ms with it built once).
+        Per interferer offset t and chunk of v rows, the ratio block
+        (zi/wi)**alpha is built once for every s; each s then fills the
+        integrand block with c/(c + ratio), c = 1/s, and reduces it over zi
+        and the angle.  An infinite ratio is the limit of a vanishing term,
+        and a zero one of a unit term, so the integrand stays finite at any
+        alpha.  For s = 0, or an s whose reciprocal overflows, the integrand
+        is 1.
         """
         n_t, n_v = self.vt_sq.shape
-        n_phi, n_zi = self.cos_phi.size, self.zi_pow.shape[1]
+        n_phi, n_zi = self.cos_phi.size, self.zi.shape[1]
+        cs = [1.0 / s if s else math.inf for s in ss]
         ks = [np.empty((n_v, n_t)) for _ in ss]
         for t in range(n_t):
             for i in range(0, n_v, self.tile_rows):
                 j = min(i + self.tile_rows, n_v)
                 m = (j - i) * n_phi
-                damp = tile[: n_zi * m].reshape(n_zi, m)
-                w, inner = tile[damp.size : damp.size + 2 * m].reshape(2, j - i, n_phi)
+                ratio, damp = tile[: 2 * n_zi * m].reshape(2, n_zi, m)
+                w, inner = tile[2 * ratio.size : 2 * ratio.size + 2 * m].reshape(2, j - i, n_phi)
                 np.multiply(self.two_vt[t, i:j, None], self.cos_phi, out=w)
                 np.subtract(self.vt_sq[t, i:j, None], w, out=w)
                 np.maximum(w, 0.0, out=w)
-                np.power(w, self.alpha / 2.0, out=w)
-                row = w.reshape(m)
-                for s, k in zip(ss, ks):
-                    # copying the row into every zi row, then adding the
-                    # column, beats numpy's broadcast of a row against a
-                    # column by 12%
-                    np.copyto(damp, row)
-                    np.add(damp, (s * self.zi_pow[t])[:, None], out=damp)
-                    np.divide(row, damp, out=damp)
+                np.sqrt(w, out=w)
+                with np.errstate(divide="ignore", over="ignore"):
+                    np.divide(self.zi[t, :, None], w.reshape(m), out=ratio)
+                    np.power(ratio, self.alpha, out=ratio)
+                for c, k in zip(cs, ks):
+                    if math.isinf(c):
+                        damp.fill(1.0)
+                    else:
+                        np.add(ratio, c, out=damp)
+                        np.divide(c, damp, out=damp)
                     np.matmul(self.zi_wts[t], damp, out=inner.reshape(m))
                     np.matmul(inner, self.phi_weight, out=k[i:j, t])
         for s, k in zip(ss, ks):
             k.setflags(write=False)
-            # unlocked: threads racing here can only clear twice, or overshoot
+            # unlocked: callers racing here can only clear twice, or overshoot
             # the cap by one kernel each
             if len(self._k_cache) >= _KERNEL_CACHE:
                 self._k_cache.clear()
@@ -298,24 +282,10 @@ class _LaplaceEvaluator:
         return float(np.sum(g_k)), float(np.sum(fdtr))
 
 
-def resolve_workers() -> int:
-    """Worker count for kernel threads and trial blocks: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        available = os.cpu_count() or 1
-    cap = os.environ.get("FD_D2D_THREADS")
-    if cap:
-        if not cap.strip().isdecimal() or int(cap) < 1:
-            raise ValueError(f"FD_D2D_THREADS must be a positive integer, got {cap!r}")
-        available = min(available, int(cap))
-    return available
-
-
-def _link_nodes(offsets, nodes: int, alpha: float):
-    """Link-distance nodes (raised to alpha) and weights on the unit disk, one row per offset."""
+def _link_nodes(offsets, nodes: int):
+    """Link-distance nodes and weights on the unit disk, one row per offset."""
     rows = [link_distance_nodes(float(q), DiskConfig(1.0), nodes) for q in offsets]
-    return np.stack([row[0] for row in rows]) ** alpha, np.stack([row[1] for row in rows])
+    return np.stack([row[0] for row in rows]), np.stack([row[1] for row in rows])
 
 
 _unit_evaluator = lru_cache(maxsize=8)(_LaplaceEvaluator)
@@ -481,9 +451,8 @@ def success_curve(
     """Analytic success curve over an ascending grid of positive thresholds.
 
     The unit-disk kernel K is computed once per threshold for every radius,
-    beta and user count; the kernels a curve lacks are built first, on one
-    thread per usable CPU (capped by ``FD_D2D_THREADS``), and the values do
-    not depend on the thread count.  The binomial transmitter count is summed in closed
+    beta and user count; the kernels a curve lacks are built first, on the
+    calling thread.  The binomial transmitter count is summed in closed
     form by G(x) = sum_{n>=1} pmf[n] x**(n-1): HDRX receivers, and FDTR ones
     under the single SI model, take G(K); per-interferer FDTR receivers take
     sum_k z0_w G(K*e_k) with e_k = exp(-theta*beta*R**alpha*z0_k**alpha).
@@ -494,9 +463,9 @@ def success_curve(
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
     values = thetas.tolist()
     p_sir = np.empty(thetas.size)
-    # a batch's kernels are built on every CPU, then held here, out of reach of
-    # a cache clear, while the count averages run serially on them in a work
-    # buffer taken once the build's tiles are freed
+    # a batch's kernels are built, then held here, out of reach of a cache
+    # clear, while the count averages run on them in a work buffer taken once
+    # the build's tile is freed
     for lo in range(0, len(values), _KERNEL_CACHE):
         batch = values[lo : lo + _KERNEL_CACHE]
         kernels = ev.kernels(batch)

@@ -16,14 +16,13 @@ from .analytic import (
     SI_PER_INTERFERER,
     ChannelConfig,
     ModelConfig,
-    resolve_workers,
     success_curve,
 )
 from .geometry import DiskConfig
 from .modes import MODE_FIELDS, compute_mode_probabilities
 from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
-from .simulator import Mode, SimConfig, simulate_points
+from .simulator import Mode, SimConfig, resolve_workers, simulate_points
 
 __all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_integer, _check_thresholds, resolve_workers,
+    SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_integer, _check_thresholds,
 )
 from .popularity import request_of_uniform
 
@@ -398,6 +399,20 @@ def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, tallies):
         n_users=cfg.n_users,
     )
     return curve, report
+
+
+def resolve_workers() -> int:
+    """Worker count of the trial-block pool: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
+    try:
+        available = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        available = os.cpu_count() or 1
+    cap = os.environ.get("FD_D2D_THREADS")
+    if cap:
+        if not cap.strip().isdecimal() or int(cap) < 1:
+            raise ValueError(f"FD_D2D_THREADS must be a positive integer, got {cap!r}")
+        available = min(available, int(cap))
+    return available
 
 
 @contextmanager

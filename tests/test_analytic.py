@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -297,6 +296,17 @@ def test_curve_matches_per_count_mixture_at_underflow_edges(si_model):
 
 
 @pytest.mark.parametrize("si_model", SI_MODELS)
+@pytest.mark.parametrize("alpha", [120.0, 150.0, 170.0])
+def test_curve_is_finite_at_large_distance_powers(alpha, si_model):
+    # zi**alpha and wi**alpha both underflow here; (zi/wi)**alpha is 0, finite or inf
+    cfg = ModelConfig(CFG.n_users, DiskConfig(30.0), CFG.profile, ChannelConfig(alpha, 1e-5))
+    curve = success_curve(cfg, 10.0 ** (np.arange(-10, 31) / 10.0), si_model=si_model)
+    assert np.all(np.isfinite(curve.p_total))
+    assert np.all(curve.p_cache <= curve.p_total) and np.all(curve.p_total <= 1.0)
+    assert np.all(np.diff(curve.p_total) <= 0)
+
+
+@pytest.mark.parametrize("si_model", SI_MODELS)
 def test_curve_depends_on_radius_and_beta_only_through_scale(si_model):
     # (R, beta) and (2R, beta/2**alpha) give the same beta*R**alpha bit for bit at alpha = 4
     thetas = 10.0 ** (np.arange(-10, 31, 10) / 10.0)
@@ -362,9 +372,9 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
 
 
 def test_cold_curve_memory_is_bounded(monkeypatch):
-    # the kernel threads build in tiles of their own, no more tiles than fit
-    # _WORK_BYTES, and the count average runs in v-chunks of one work buffer:
-    # memory grows with neither the node counts nor the CPU count
+    # kernels build on the calling thread in one tile of at most _TILE_BYTES,
+    # and the count average runs in v-chunks of one work buffer: memory grows
+    # with neither the node counts nor the CPU count
     import tracemalloc
 
     from fdd2d.analytic import _unit_evaluator
@@ -384,27 +394,29 @@ def test_cold_curve_memory_is_bounded(monkeypatch):
             assert peak < bound_mib * 2**20, (cpus, nodes, peak / 2**20)
 
 
-def test_kernel_build_parts_fit_the_work_budget(monkeypatch):
-    # on 64 CPUs a cold 41-threshold curve still builds no more tiles at once
-    # than fit _WORK_BYTES: four at default nodes
+def test_cold_kernels_build_on_the_calling_thread(monkeypatch):
+    # on 64 CPUs a cold 41-threshold curve builds every kernel in one build,
+    # on the calling thread, and starts no thread
     from fdd2d import analytic
 
-    parts = []
+    builds = []
     build = analytic._LaplaceEvaluator._build_kernels
 
     def traced_build(self, ss, tile):
-        parts.append(tile.size)
+        builds.append((threading.get_ident(), len(ss), tile.size))
         return build(self, ss, tile)
 
     monkeypatch.delenv("FD_D2D_THREADS", raising=False)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setattr(analytic._LaplaceEvaluator, "_build_kernels", traced_build)
+    before = threading.active_count()
     _cold_curve(CFG, 10.0 ** (np.arange(-10, 31) / 10.0), SI_MODELS[0])
-    tile_floats = parts[0]
-    assert set(parts) == {tile_floats}
-    budget = max(1, analytic._WORK_BYTES // (8 * tile_floats))
-    assert budget == 4
-    assert len(parts) == budget
+    assert threading.active_count() == before
+    assert len(builds) == 1
+    thread, count, tile_floats = builds[0]
+    assert thread == threading.get_ident()
+    assert count == 41
+    assert 8 * tile_floats <= analytic._TILE_BYTES
 
 
 def test_concurrent_curves_match_serial_calls():
@@ -501,10 +513,13 @@ def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
 
     spec = QuadratureSpec(nodes)
     if nodes:
-        monkeypatch.setattr(analytic, "_TILE_BYTES", 2 * 8 * 6 * (3 * 4 + 2))
+        # two v rows of 6 angles, each with a ratio and an integrand block of
+        # 3 * 4 zi nodes and two angle rows
+        monkeypatch.setattr(analytic, "_TILE_BYTES", 2 * 8 * 6 * (2 * 3 * 4 + 2))
     ev = analytic._LaplaceEvaluator(alpha, spec.node_items())
     assert ev.tile_rows == (2 if nodes else spec.nodes("v"))
-    for s in (1e-3, 1.0, 1e3):
+    # s = 0 takes the all-ones integrand
+    for s in (0.0, 1e-3, 1.0, 1e3):
         want = reference_k_grid(alpha, spec.nodes_per_level, s)
         got = ev.kernels([s])[s]
         assert got.shape == want.shape
@@ -526,28 +541,21 @@ def test_curve_is_bit_identical_for_any_thread_count(si_model, monkeypatch):
     thetas = np.geomspace(0.1, 1000.0, 9)
     monkeypatch.setenv("FD_D2D_THREADS", "1")
     want = _cold_curve(CFG, thetas, si_model)
-    assert len(builders) == 1
     monkeypatch.setenv("FD_D2D_THREADS", "2")
     two = _cold_curve(CFG, thetas, si_model)
     monkeypatch.delenv("FD_D2D_THREADS")
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: EIGHT_CPUS, raising=False)
-    builders.clear()
-    # more kernel threads than this host may have cores, switching as often as they can
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        eight = _cold_curve(CFG, thetas, si_model)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(builders) > 1
+    eight = _cold_curve(CFG, thetas, si_model)
+    # every build runs on the calling thread
+    assert builders == {threading.get_ident()}
     for got in (two, eight):
         np.testing.assert_array_equal(got.p_sir, want.p_sir)
         np.testing.assert_array_equal(got.p_total, want.p_total)
 
 
 def test_curve_in_kernel_batches_matches_serial_curve(monkeypatch):
-    # batches of three kernels built on threads; the cache, three kernels
-    # large and warm with every other threshold, is cleared under a batch
+    # batches of three kernels; the cache, three kernels large and warm with
+    # every other threshold, is cleared under a batch
     # whose kernels are partly cached, so the batch must hold its own
     from fdd2d import analytic
 

@@ -140,6 +140,22 @@ def test_extreme_distance_powers_run_without_warnings(argv, tmp_path):
             assert 0.0 <= float(row[column]) <= 1.0
 
 
+def test_large_distance_power_analytic_run_without_warnings(tmp_path):
+    # both distance powers of the transform's integrand underflow at alpha = 150
+    out = tmp_path / "out.csv"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fdd2d.cli", "--mode", "analytic", "--n-users", "5",
+         "--alpha", "150", "--theta-db", "0:10:10", "--out", str(out)],
+        capture_output=True, text=True, env=REPO_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = read_rows(out)
+    assert rows
+    for row in rows:
+        for column in ("p_sir_analytic", "p_total_analytic"):
+            assert 0.0 <= float(row[column]) <= 1.0
+
+
 def test_n_users_above_library_exits_2():
     with pytest.raises(SystemExit) as exc:
         parse_args(["--n-users", "50", "--library-size", "10"])
@@ -271,7 +287,7 @@ def test_cli_imports_no_private_package_name():
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
 def test_invalid_worker_env_exits_2(threads, tmp_path, monkeypatch, capsys):
-    # the pool and the analytic kernel threads both read it, so every mode checks it
+    # only the simulator's pool reads it, but every mode checks it
     monkeypatch.setenv("FD_D2D_THREADS", threads)
     for mode in ("simulate", "analytic"):
         out = tmp_path / f"{mode}.csv"

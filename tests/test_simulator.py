@@ -18,9 +18,9 @@ from fdd2d import (
     compute_mode_probabilities,
     simulate_points,
 )
-from fdd2d.analytic import resolve_workers
 from fdd2d.simulator import (
     _BLOCK_BYTES, _IS_CACHE, RECEIVING_MODES, _add, _block_stats, _fold, _pcg64_seeds, _seed_words, _simulate_block, _Tally,
+    resolve_workers,
 )
 from oracles import block_stats, link_sir, reference_modes, run_trial, sample_realization, trial_rng, trial_success
 
