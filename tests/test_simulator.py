@@ -276,7 +276,7 @@ def test_simulate_points_rejects_bad_thresholds_before_any_pool(thetas, monkeypa
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was opened")
 
-    monkeypatch.setattr("fdd2d.simulator.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     force_workers(monkeypatch, 2)
     with pytest.raises(ValueError, match="thetas"):
         with simulate_points([CFG], SimConfig(trials=3000), thetas):
