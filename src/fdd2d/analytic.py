@@ -59,8 +59,9 @@ _WORK_BYTES = 2 << 20
 # average's work buffer.
 _TILE_BYTES = 1 << 20
 
-# Kernels an evaluator caches, and so the most a curve builds, and holds, at once.
-_KERNEL_CACHE = 4096
+# Bytes of the kernels an evaluator caches, and so of those a curve builds,
+# and holds, at once: 4096 kernels at the default 24 x 24 (v, t) nodes.
+_KERNEL_CACHE_BYTES = 18 << 20
 
 # Soft budget of integrand evaluations per transform: over it, a warning.
 _EVALUATION_BUDGET = 10**9
@@ -190,6 +191,10 @@ class _LaplaceEvaluator:
         """One count average's scratch: _WORK_BYTES, or more if one v row of it needs it."""
         return np.empty(max(_WORK_BYTES // 8, 2 * self.vt_weight.size + self.count_row))
 
+    def cached_kernels(self) -> int:
+        """Kernels that fit _KERNEL_CACHE_BYTES, at least one."""
+        return max(1, _KERNEL_CACHE_BYTES // (8 * self.vt_weight.size))
+
     def kernels(self, ss) -> dict:
         """The kernel of each s in ``ss``, keyed by ``float(s)``.
 
@@ -243,7 +248,7 @@ class _LaplaceEvaluator:
             k.setflags(write=False)
             # unlocked: callers racing here can only clear twice, or overshoot
             # the cap by one kernel each
-            if len(self._k_cache) >= _KERNEL_CACHE:
+            if len(self._k_cache) >= self.cached_kernels():
                 self._k_cache.clear()
             self._k_cache[s] = k
         return ks
@@ -466,8 +471,9 @@ def success_curve(
     # a batch's kernels are built, then held here, out of reach of a cache
     # clear, while the count averages run on them in a work buffer taken once
     # the build's tile is freed
-    for lo in range(0, len(values), _KERNEL_CACHE):
-        batch = values[lo : lo + _KERNEL_CACHE]
+    per_batch = ev.cached_kernels()
+    for lo in range(0, len(values), per_batch):
+        batch = values[lo : lo + per_batch]
         kernels = ev.kernels(batch)
         work = ev.work_buffer()
         for i, theta in enumerate(batch, lo):

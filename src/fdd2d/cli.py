@@ -352,13 +352,13 @@ def run(spec: ExperimentSpec) -> int:
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
 
-    # every point's model is held until its blocks are collected
+    # every point's model is held until its tasks are folded
     profiles = {}
     configs = [_point_config(spec, point, profiles) for point in spec.sweep_points()]
     sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
     rows = []
     gap_overall = None
-    # every point's trial blocks are queued before the first analytic curve,
+    # every point's tasks are queued before the first analytic curve,
     # so the workers simulate while this process computes curves
     with simulate_points(configs if simulate else [], sim, thetas) as simulated:
         for cfg in configs:

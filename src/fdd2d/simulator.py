@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import reduce
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .analytic import (
     SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_integer, _check_thresholds,
 )
-from .popularity import request_of_uniform
+from .popularity import PopularityProfile, request_of_uniform
 
 __all__ = [
     "Mode",
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 # Trials per pool task.
-_TRIALS_PER_BLOCK = 1024
+_TRIALS_PER_TASK = 1024
 # Memory of a kernel block.  A block runs at most _BLOCK_TRIALS trials and,
 # beyond one trial, no more than keep its whole float64 fading array
 # (trials, n_users, n_users) within _BLOCK_BYTES.  Every trial's stream is
@@ -400,8 +401,24 @@ def _fold(cfg: ModelConfig, sim: SimConfig, thetas: np.ndarray, tallies):
     return curve, report
 
 
+def _task_config(cfg: ModelConfig) -> ModelConfig:
+    """``cfg`` with its library cut to the N cached contents and one for the rest of the mass, so a task's size does not grow with m.
+
+    A trial reads a request only for which cached content, if any, it asks
+    for, and the cut prefix maps every uniform to the same cached content,
+    or to an uncached one.  At m <= N + 1 the profile is kept: at m = N, a
+    uniform just under 1 maps to content m, which a user caches.
+    """
+    n, profile = cfg.n_users, cfg.profile
+    if profile.m <= n + 1:
+        return cfg
+    rho = np.append(profile.rho[:n], profile.rho[n:].sum())
+    prefix = np.append(profile.p_hit_prefix[:n], profile.p_hit_prefix[-1])
+    return replace(cfg, profile=PopularityProfile(n + 1, profile.gamma_r, rho, prefix))
+
+
 def resolve_workers() -> int:
-    """Worker count of the trial-block pool: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
+    """Worker count of the task pool: the CPUs this process may run on, capped by FD_D2D_THREADS, a positive integer."""
     try:
         available = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -418,13 +435,16 @@ def resolve_workers() -> int:
 def simulate_points(configs, sim: SimConfig, thetas):
     """Estimate the success curve and mode statistics of each config over ``sim.trials`` networks.
 
-    A context manager.  On entry it checks the thresholds and, if more than
-    one worker is to run, imports the process pool and queues every point's
-    trial blocks of _TRIALS_PER_BLOCK on it, so the workers simulate while
-    the caller does other work.  It yields an iterator of ``(SuccessCurve,
-    ModeFrequencyReport)``, one per config, in order; with one worker a
-    point is simulated in this process when the iterator reaches it.  On
-    exit, blocks not yet started are cancelled and the workers are joined.
+    A context manager.  On entry it checks the thresholds and builds one
+    flat task list, points in order, of _TRIALS_PER_TASK trials each and the
+    point's config cut to its cached contents (:func:`_task_config`).  Above
+    one worker it opens a process pool that maps ``_block_stats`` over the
+    list, every task queued at once, so the workers simulate while the
+    caller does other work; at one worker the built-in ``map`` runs each
+    task here when the iterator reaches it.  It yields an iterator of
+    ``(SuccessCurve, ModeFrequencyReport)``, one per config, in order, each
+    point folding the next tallies of the mapped stream as it reads them.
+    On exit, tasks not yet started are cancelled and the workers are joined.
 
     Every trial is seeded from ``(master_seed, trial_index)`` and the
     aggregation is exact integer counting, so results are bit-identical for
@@ -433,18 +453,17 @@ def simulate_points(configs, sim: SimConfig, thetas):
     counts and the transmitter-count histogram.
     """
     configs, thetas = list(configs), _check_thresholds(thetas)
-    starts = range(0, sim.trials, _TRIALS_PER_BLOCK)
-    tasks = [[(cfg, sim, thetas, a, min(a + _TRIALS_PER_BLOCK, sim.trials)) for a in starts] for cfg in configs]
-    size = min(resolve_workers(), len(configs) * len(starts))
-    if size <= 1:
-        yield (_fold(cfg, sim, thetas, map(_block_stats, point)) for cfg, point in zip(configs, tasks))
-        return
-    # analytic and one-worker runs never open a pool, and importing it costs about 20 ms and 2 MB
-    from concurrent.futures import ProcessPoolExecutor
+    starts = range(0, sim.trials, _TRIALS_PER_TASK)
+    tasks = [(cut, sim, thetas, a, min(a + _TRIALS_PER_TASK, sim.trials)) for cut in map(_task_config, configs) for a in starts]
+    size, pool = min(resolve_workers(), len(tasks)), None
+    if size > 1:
+        # analytic and one-worker runs never open a pool, and importing it costs about 20 ms and 2 MB
+        from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=size)
+        pool = ProcessPoolExecutor(max_workers=size)
     try:
-        futures = [[pool.submit(_block_stats, task) for task in point] for point in tasks]
-        yield (_fold(cfg, sim, thetas, (f.result() for f in point)) for cfg, point in zip(configs, futures))
+        tallies = (pool.map if pool else map)(_block_stats, tasks)
+        yield (_fold(cfg, sim, thetas, islice(tallies, len(starts))) for cfg in configs)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)

@@ -564,10 +564,23 @@ def test_curve_in_kernel_batches_matches_serial_curve(monkeypatch):
     want = _cold_curve(CFG, thetas, SI_MODELS[0])
     monkeypatch.delenv("FD_D2D_THREADS")
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: EIGHT_CPUS, raising=False)
-    monkeypatch.setattr(analytic, "_KERNEL_CACHE", 3)
+    monkeypatch.setattr(analytic, "_KERNEL_CACHE_BYTES", 3 * 8 * 24 * 24)
     _cold_curve(CFG, thetas[::2], SI_MODELS[0])
     got = success_curve(CFG, thetas, si_model=SI_MODELS[0])
     np.testing.assert_array_equal(got.p_total, want.p_total)
+
+
+def test_kernel_cache_stays_within_its_byte_budget():
+    # at v = t = 200 a kernel is 320 KB, so the budget holds 58 of them and a
+    # 70-threshold curve builds in two batches
+    from fdd2d import analytic
+
+    spec = QuadratureSpec({"v": 200, "t": 200, "angle": 4, "zi": 4, "z0": 4})
+    thetas = np.geomspace(0.1, 1000.0, 70)
+    ev = analytic._unit_evaluator(CFG.channel.alpha, spec.node_items())
+    assert ev.cached_kernels() < thetas.size
+    success_curve(CFG, thetas, spec, SI_SINGLE)
+    assert 0 < sum(k.nbytes for k in ev._k_cache.values()) <= analytic._KERNEL_CACHE_BYTES
 
 
 def test_cold_curve_leaves_no_thread_running(monkeypatch):

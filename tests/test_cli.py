@@ -419,6 +419,9 @@ def test_worker_env_does_not_change_results(tmp_path):
     for name, args in (
         ("simulate", ["--mode", "simulate", "--n-users", "6", "--theta-db", "0:6:6",
                       "--trials", "2100", "--seed", "4"]),
+        # a task carries only the contents its users cache
+        ("library", ["--mode", "simulate", "--n-users", "6", "--library-size", "1000000", "--theta-db", "0:6:6",
+                     "--trials", "2100", "--seed", "4"]),
         # the points of a sweep share one pool while the analytic curves are computed
         ("both", ["--mode", "both", "--n-users", "3", "--sweep", "n_users=3,6", "--theta-db", "0:6:6",
                   "--trials", "2100", "--seed", "4", *QUICK_NODES]),

@@ -1,6 +1,8 @@
 import multiprocessing
+import pickle
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from fdd2d import (
 )
 from fdd2d.simulator import (
     _BLOCK_BYTES, _IS_CACHE, RECEIVING_MODES, _add, _block_stats, _fold, _pcg64_seeds, _seed_words, _simulate_block, _Tally,
-    resolve_workers,
+    _task_config, resolve_workers,
 )
 from oracles import block_stats, link_sir, reference_modes, run_trial, sample_realization, trial_rng, trial_success
 
@@ -307,6 +309,30 @@ def test_simulate_points_joins_the_pool_when_left_early(monkeypatch):
     with simulate_points([CFG, CFG], SimConfig(trials=3000, master_seed=3), [1.0]) as points:
         next(points)
     assert multiprocessing.active_children() == []
+
+
+def test_pool_task_size_does_not_grow_with_the_library(monkeypatch):
+    sizes = {}
+    force_workers(monkeypatch, 1)
+    for m in (1000, 10**6):
+        tasks = []
+        monkeypatch.setattr("fdd2d.simulator._block_stats", lambda task: tasks.append(task) or _block_stats(task))
+        with simulate_points([replace(CFG, profile=build_zipf(m, 1.2))], SimConfig(trials=10), [1.0]) as points:
+            next(points)
+        sizes[m] = len(pickle.dumps(tasks[0]))
+    assert sizes[10**6] == sizes[1000]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 1000])
+@pytest.mark.parametrize("gamma_r", [0.0, 1.2])
+def test_task_config_keeps_every_outcome(m, gamma_r):
+    # at m = N the profile is kept whole, above it the uncached contents are one
+    cfg = ModelConfig(4, DiskConfig(30.0), build_zipf(m, gamma_r), ChannelConfig())
+    cut = _task_config(cfg)
+    assert cut.profile.m == min(m, 5) and cut.n_users == 4
+    assert cut.profile.p_hit_prefix[-1] == cfg.profile.p_hit_prefix[-1]
+    for got, want in zip(_simulate_block(cut, SimConfig(), 0, 300), _simulate_block(cfg, SimConfig(), 0, 300)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_mode_report_matches_theorem(monkeypatch):
