@@ -43,21 +43,14 @@ SI_PER_INTERFERER = "per-interferer"
 SI_SINGLE = "single"
 SI_MODELS = (SI_PER_INTERFERER, SI_SINGLE)
 
-# Bytes of the work buffer a curve's count average runs in, in v-chunks that
-# fit it (at least one v row each), so peak memory stays bounded whatever the
-# node counts.  Reusing one buffer instead of a fresh block per chunk keeps
-# large temporaries out of the allocator and its page faults.  Of 0.5, 1, 2,
-# 3 and 4 MiB, 2 MiB is the smallest at which the radius sweep is fastest:
-# the default count average then fits one chunk, and larger buffers only add
-# RSS.
+# Bytes of the work buffer a kernel build cuts its tiles from, and a curve's
+# count average its chunks, each as many v rows as fit (at least one), so peak
+# memory stays bounded whatever the node counts.  Reusing one buffer instead
+# of a fresh block per chunk keeps large temporaries out of the allocator and
+# its page faults.  Of 0.5, 1, 2, 3 and 4 MiB, 2 MiB is the smallest at which
+# the radius sweep is fastest: the default count average then fits one chunk,
+# and larger buffers only add RSS.  A default kernel tile takes 0.9 MB of it.
 _WORK_BYTES = 2 << 20
-
-# Bytes of one kernel tile: for one interferer offset t and as many v rows as
-# fit (at least one), the (zi, v*angle) ratio block, the block of one
-# threshold's integrand, and two v*angle rows.  At default nodes every v row
-# fits in 0.9 MB, so a kernel build takes no more memory than the count
-# average's work buffer.
-_TILE_BYTES = 1 << 20
 
 # Bytes of the kernels an evaluator caches, and so of those a curve builds,
 # and holds, at once: 4096 kernels at the default 24 x 24 (v, t) nodes.
@@ -147,10 +140,11 @@ class _LaplaceEvaluator:
     branches run in the subtended angle (removing the square-root cusp at
     z = 1 - offset).
 
-    One evaluator is shared process-wide by :func:`_unit_evaluator`, so it
-    holds nodes, weights and finished kernels only: each call builds in a tile
-    of its own and averages in its own work buffer (:meth:`work_buffer`), and
-    concurrent callers share nothing they write.  A cached kernel is read-only.
+    One evaluator per alpha and node set is shared process-wide by
+    :func:`_unit_evaluator`, so it holds nodes, weights and finished kernels
+    only: each call builds and averages in a work buffer of its own
+    (:meth:`work_buffer`), and concurrent callers share nothing they write.
+    A cached kernel is read-only.
     """
 
     def __init__(self, alpha: float, node_items: tuple):
@@ -181,15 +175,14 @@ class _LaplaceEvaluator:
         # integrand blocks, wi and the integrand's zi reduction), and in the
         # per-interferer count average (SI row, K*e product, _count_sum scratch).
         n_tz = n_t * self.z0_pow.shape[1]
-        kernel_row = n_phi * (2 * self.zi.shape[1] + 2)
-        self.tile_rows = max(1, min(n_v, _TILE_BYTES // (8 * kernel_row)))
-        self.tile_floats = self.tile_rows * kernel_row
+        self.kernel_row = n_phi * (2 * self.zi.shape[1] + 2)
+        self.tile_rows = max(1, min(n_v, _WORK_BYTES // (8 * self.kernel_row)))
         self.count_row = self.z0_pow.shape[1] + n_tz + _count_sum_scratch(n_tz)
         self._k_cache: dict = {}
 
     def work_buffer(self) -> np.ndarray:
-        """One count average's scratch: _WORK_BYTES, or more if one v row of it needs it."""
-        return np.empty(max(_WORK_BYTES // 8, 2 * self.vt_weight.size + self.count_row))
+        """One call's scratch: _WORK_BYTES, or more if one v row of a kernel tile or count average needs it."""
+        return np.empty(max(_WORK_BYTES // 8, self.kernel_row, 2 * self.vt_weight.size + self.count_row))
 
     def cached_kernels(self) -> int:
         """Kernels that fit _KERNEL_CACHE_BYTES, at least one."""
@@ -200,16 +193,24 @@ class _LaplaceEvaluator:
 
         The kernel at s is the inner (wi, zi) expectation of
         1/(1 + s*(zi/wi)**alpha) on the (v, t) grid.  Kernels not cached are
-        built on this thread, in one tile (``tile_floats``).
+        built on this thread, in one :meth:`work_buffer` taken only then, and
+        cached: this method alone reads and writes the cache, which is cleared
+        when it holds :meth:`cached_kernels` kernels.
         """
         found = {s: self._k_cache.get(s) for s in map(float, ss)}
         missing = [s for s, k in found.items() if k is None]
         if missing:
-            found.update(zip(missing, self._build_kernels(missing, np.empty(self.tile_floats))))
+            found.update(zip(missing, self._build_kernels(missing, self.work_buffer())))
+            for s in missing:
+                # unlocked: callers racing here can only clear twice, or
+                # overshoot the cap by one kernel each
+                if len(self._k_cache) >= self.cached_kernels():
+                    self._k_cache.clear()
+                self._k_cache[s] = found[s]
         return found
 
-    def _build_kernels(self, ss: list, tile: np.ndarray) -> list:
-        """Compute and cache the kernel at each s of ``ss`` in (zi, v*angle) tiles inside ``tile``.
+    def _build_kernels(self, ss: list, work: np.ndarray) -> list:
+        """The read-only kernel at each s of ``ss``, built in (zi, v*angle) tiles cut from ``work``.
 
         Per interferer offset t and chunk of v rows, the ratio block
         (zi/wi)**alpha is built once for every s; each s then fills the
@@ -227,8 +228,8 @@ class _LaplaceEvaluator:
             for i in range(0, n_v, self.tile_rows):
                 j = min(i + self.tile_rows, n_v)
                 m = (j - i) * n_phi
-                ratio, damp = tile[: 2 * n_zi * m].reshape(2, n_zi, m)
-                w, inner = tile[2 * ratio.size : 2 * ratio.size + 2 * m].reshape(2, j - i, n_phi)
+                ratio, damp = work[: 2 * n_zi * m].reshape(2, n_zi, m)
+                w, inner = work[2 * ratio.size : 2 * ratio.size + 2 * m].reshape(2, j - i, n_phi)
                 np.multiply(self.two_vt[t, i:j, None], self.cos_phi, out=w)
                 np.subtract(self.vt_sq[t, i:j, None], w, out=w)
                 np.maximum(w, 0.0, out=w)
@@ -244,13 +245,8 @@ class _LaplaceEvaluator:
                         np.divide(c, damp, out=damp)
                     np.matmul(self.zi_wts[t], damp, out=inner.reshape(m))
                     np.matmul(inner, self.phi_weight, out=k[i:j, t])
-        for s, k in zip(ss, ks):
+        for k in ks:
             k.setflags(write=False)
-            # unlocked: callers racing here can only clear twice, or overshoot
-            # the cap by one kernel each
-            if len(self._k_cache) >= self.cached_kernels():
-                self._k_cache.clear()
-            self._k_cache[s] = k
         return ks
 
     def count_average(self, k, s, scale, p_tx, n_users, si_model, work) -> tuple:
@@ -350,7 +346,7 @@ def laplace_interference(
         raise ValueError(f"transform argument must be finite and nonnegative, got s={s}")
     if delta not in RECEIVER_KINDS:
         raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
-    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
+    if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)) or n_t < 1:
         raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
     ev, scale = _evaluator(cfg, spec, si_model)
     m = int(n_t) - 1
@@ -468,9 +464,9 @@ def success_curve(
     mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
     values = thetas.tolist()
     p_sir = np.empty(thetas.size)
-    # a batch's kernels are built, then held here, out of reach of a cache
-    # clear, while the count averages run on them in a work buffer taken once
-    # the build's tile is freed
+    # a batch's kernels are held here, out of reach of a cache clear, while
+    # the count averages run on them in a work buffer taken once the build's
+    # buffer is freed
     per_batch = ev.cached_kernels()
     for lo in range(0, len(values), per_batch):
         batch = values[lo : lo + per_batch]

@@ -62,9 +62,9 @@ def compute_mode_probabilities(profile: PopularityProfile, n_users: int) -> Mode
     one each); every user draws an independent request from ``profile``.
     The returned probabilities average over a uniformly chosen user.
     """
-    if not 1 <= n_users <= profile.m:
+    if isinstance(n_users, bool) or not 1 <= n_users <= profile.m:
         raise ValueError(
-            f"n_users must be in [1, m={profile.m}] (distinct cached contents), got {n_users}"
+            f"n_users must be an integer in [1, m={profile.m}] (distinct cached contents), got {n_users}"
         )
     rho = profile.rho[:n_users]
     p_hit = float(profile.p_hit_prefix[n_users - 1])

@@ -106,6 +106,8 @@ def test_laplace_rejects_bad_arguments():
     with pytest.raises(ValueError):
         laplace_interference(1.0, HDRX, 0, CFG)
     with pytest.raises(ValueError):
+        laplace_interference(1.0, HDRX, True, CFG)
+    with pytest.raises(ValueError):
         laplace_interference(1.0, HDRX, 2, CFG, si_model="bogus")
 
 
@@ -372,9 +374,9 @@ def test_per_count_transform_matches_point_mass_count_average(si_model):
 
 
 def test_cold_curve_memory_is_bounded(monkeypatch):
-    # kernels build on the calling thread in one tile of at most _TILE_BYTES,
-    # and the count average runs in v-chunks of one work buffer: memory grows
-    # with neither the node counts nor the CPU count
+    # kernels build on the calling thread in tiles cut from one work buffer,
+    # and the count average runs in v-chunks of another, taken once the first
+    # is freed: memory grows with neither the node counts nor the CPU count
     import tracemalloc
 
     from fdd2d.analytic import _unit_evaluator
@@ -402,9 +404,9 @@ def test_cold_kernels_build_on_the_calling_thread(monkeypatch):
     builds = []
     build = analytic._LaplaceEvaluator._build_kernels
 
-    def traced_build(self, ss, tile):
-        builds.append((threading.get_ident(), len(ss), tile.size))
-        return build(self, ss, tile)
+    def traced_build(self, ss, work):
+        builds.append((threading.get_ident(), len(ss), work.size))
+        return build(self, ss, work)
 
     monkeypatch.delenv("FD_D2D_THREADS", raising=False)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -413,10 +415,11 @@ def test_cold_kernels_build_on_the_calling_thread(monkeypatch):
     _cold_curve(CFG, 10.0 ** (np.arange(-10, 31) / 10.0), SI_MODELS[0])
     assert threading.active_count() == before
     assert len(builds) == 1
-    thread, count, tile_floats = builds[0]
+    thread, count, work_floats = builds[0]
     assert thread == threading.get_ident()
     assert count == 41
-    assert 8 * tile_floats <= analytic._TILE_BYTES
+    ev = analytic._unit_evaluator(CFG.channel.alpha, QuadratureSpec().node_items())
+    assert work_floats == ev.work_buffer().size
 
 
 def test_concurrent_curves_match_serial_calls():
@@ -463,16 +466,20 @@ def test_concurrent_curves_match_serial_calls():
 
 
 def test_warm_kernels_return_cached_arrays_without_building(monkeypatch):
-    # with every kernel cached nothing is built
+    # with every kernel cached nothing is built, and no work buffer is taken
     from fdd2d import analytic
 
     ev = analytic._LaplaceEvaluator(4.0, QuadratureSpec({"v": 5, "t": 7, "angle": 6, "zi": 4, "z0": 4}).node_items())
     cold = ev.kernels([0.5, 2.0])
 
-    def no_build(ss, tile):
+    def no_build(ss, work):
         raise AssertionError(f"built kernels {ss}")
 
+    def no_buffer():
+        raise AssertionError("took a work buffer")
+
     monkeypatch.setattr(ev, "_build_kernels", no_build)
+    monkeypatch.setattr(ev, "work_buffer", no_buffer)
     warm = ev.kernels([0.5, 2.0])
     assert warm.keys() == cold.keys()
     assert all(warm[s] is cold[s] for s in cold)
@@ -486,9 +493,9 @@ def test_transform_reads_kernels_a_curve_cached(monkeypatch):
     built = []
     build = _LaplaceEvaluator._build_kernels
 
-    def traced_build(self, ss, tile):
+    def traced_build(self, ss, work):
         built.append(list(ss))
-        return build(self, ss, tile)
+        return build(self, ss, work)
 
     thetas = np.geomspace(0.1, 1000.0, 7)
     _cold_curve(CFG, thetas, SI_MODELS[0])
@@ -515,7 +522,7 @@ def test_tiled_kernel_matches_v_major_reference(nodes, alpha, monkeypatch):
     if nodes:
         # two v rows of 6 angles, each with a ratio and an integrand block of
         # 3 * 4 zi nodes and two angle rows
-        monkeypatch.setattr(analytic, "_TILE_BYTES", 2 * 8 * 6 * (2 * 3 * 4 + 2))
+        monkeypatch.setattr(analytic, "_WORK_BYTES", 2 * 8 * 6 * (2 * 3 * 4 + 2))
     ev = analytic._LaplaceEvaluator(alpha, spec.node_items())
     assert ev.tile_rows == (2 if nodes else spec.nodes("v"))
     # s = 0 takes the all-ones integrand
@@ -533,9 +540,9 @@ def test_curve_is_bit_identical_for_any_thread_count(si_model, monkeypatch):
     builders = set()
     build = _LaplaceEvaluator._build_kernels
 
-    def traced_build(self, ss, tile):
+    def traced_build(self, ss, work):
         builders.add(threading.get_ident())
-        return build(self, ss, tile)
+        return build(self, ss, work)
 
     monkeypatch.setattr(_LaplaceEvaluator, "_build_kernels", traced_build)
     thetas = np.geomspace(0.1, 1000.0, 9)

@@ -35,6 +35,8 @@ def test_rejects_more_users_than_contents():
     profile = build_zipf(5, 1.0)
     with pytest.raises(ValueError):
         compute_mode_probabilities(profile, 6)
+    with pytest.raises(ValueError):
+        compute_mode_probabilities(profile, True)
 
 
 def _check_identities(mp, p_hit, n_users):

@@ -88,6 +88,8 @@ def test_hitting_probability_rejects_out_of_range():
         hitting_probability(profile, 6)
     with pytest.raises(ValueError):
         hitting_probability(profile, 0)
+    with pytest.raises(ValueError):
+        hitting_probability(profile, True)
 
 
 def test_hitting_probability_monotone_in_n():
