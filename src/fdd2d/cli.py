@@ -7,7 +7,6 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .popularity import build_zipf
 from .quadrature import DEFAULT_NODES, QuadratureSpec
 from .simulator import Mode, SimConfig, resolve_workers, simulate_points
 
-__all__ = ["ExperimentSpec", "ThetaGrid", "main", "parse_args", "run"]
+__all__ = ["main", "parse_args", "run"]
 
 CSV_COLUMNS = [
     "theta_db",
@@ -47,50 +46,6 @@ RUN_MODES = ("analytic", "simulate", "both")
 
 # Most thresholds a --theta-db grid may hold; each one costs a kernel evaluation.
 _MAX_THRESHOLDS = 10**6
-
-
-@dataclass(frozen=True)
-class ThetaGrid:
-    """Inclusive dB-valued threshold grid ``start:stop:step``."""
-
-    start_db: float
-    stop_db: float
-    step_db: float
-
-    def values_db(self) -> np.ndarray:
-        span = self.stop_db - self.start_db
-        n_steps = int(math.floor(span / self.step_db + 1e-9))
-        return self.start_db + self.step_db * np.arange(n_steps + 1)
-
-    def values_linear(self) -> np.ndarray:
-        return 10.0 ** (self.values_db() / 10.0)
-
-
-@dataclass
-class ExperimentSpec:
-    """Fully validated description of one CLI invocation."""
-
-    mode: str
-    n_users: int
-    radius: float
-    library_size: int
-    gamma_r: float
-    alpha: float
-    beta: float
-    theta_grid: ThetaGrid
-    sweep: list = field(default_factory=list)  # [(parameter, [values...]), ...]
-    trials: int = 10_000
-    seed: int = 0
-    si_model: str = SI_PER_INTERFERER
-    quad_nodes: dict = field(default_factory=dict)
-    output_path: str = "results.csv"
-
-    def sweep_points(self) -> list:
-        """Cartesian product of sweep values as per-point override dicts."""
-        if not self.sweep:
-            return [{}]
-        names = [name for name, _ in self.sweep]
-        return [dict(zip(names, combo)) for combo in itertools.product(*(vals for _, vals in self.sweep))]
 
 
 def _number(kind, valid=lambda v: True, requirement=""):
@@ -122,7 +77,8 @@ SWEEP_CONVERTERS = {
 SWEEPABLE = tuple(SWEEP_CONVERTERS)
 
 
-def _theta_grid(text) -> ThetaGrid:
+def _theta_grid(text) -> np.ndarray:
+    """The inclusive dB grid ``start:stop:step``; ``stop`` is left out when ``step`` does not divide the span."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expects start:stop:step, got {text!r}")
@@ -133,9 +89,9 @@ def _theta_grid(text) -> ThetaGrid:
         raise argparse.ArgumentTypeError(f"start must not exceed stop, got {text!r}")
     if not (stop - start) / step < _MAX_THRESHOLDS:
         raise argparse.ArgumentTypeError(f"{text!r} asks for more than {_MAX_THRESHOLDS} thresholds")
-    grid = ThetaGrid(start, stop, step)
+    grid = start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
     with np.errstate(over="ignore"):
-        linear = grid.values_linear()
+        linear = 10.0 ** (grid / 10.0)
     if not np.all((linear > 0) & np.isfinite(linear)):
         raise argparse.ArgumentTypeError(f"{text!r} gives thresholds of 0 or infinity in linear scale")
     return grid
@@ -258,13 +214,17 @@ def _join_theta_flag(argv) -> list:
     return out
 
 
-def parse_args(argv=None) -> ExperimentSpec:
-    """Parse flags (and an optional config file) into a validated ExperimentSpec.
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse flags (and an optional config file) into the validated namespace that ``run`` reads.
 
-    Each numeric flag converts and checks its value in its argparse ``type``,
-    which also converts the string defaults a config file sets; ``--sweep``
-    values go through the same converters.  Usage problems exit with status
-    2 and a message naming the flag.
+    ``run`` reads ``mode``, ``n_users``, ``radius``, ``library_size``, ``zipf``
+    (gamma_r), ``alpha``, ``beta``, ``theta_db`` (the dB grid as an array),
+    ``sweep`` (``(parameter, values)`` pairs in flag order), ``trials``,
+    ``seed``, ``si_model``, ``quad_nodes`` and ``out``.  Each numeric flag
+    converts and checks its value in its argparse ``type``, which also
+    converts the string defaults a config file sets; ``--sweep`` values go
+    through the same converters.  Usage problems exit with status 2 and a
+    message naming the flag.
     """
     parser = _build_parser()
     argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
@@ -291,35 +251,18 @@ def parse_args(argv=None) -> ExperimentSpec:
     if args.n_users is None:
         error("--n-users is required (flag or config file)")
 
-    sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
-    if args.n_users > args.library_size:
-        error(f"--n-users ({args.n_users}) must not exceed --library-size ({args.library_size})")
-    for name, values in sweep:
-        if name == "n_users" and max(values) > args.library_size:
-            error(f"--sweep n_users values must not exceed --library-size ({args.library_size})")
-    radii = dict(sweep).get("radius")
+    args.sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
+    # a swept parameter's values replace its flag in every point of the run
+    users = dict(args.sweep).get("n_users")
+    if max(users or [args.n_users]) > args.library_size:
+        error(f"{'--sweep n_users' if users else '--n-users'} must not exceed --library-size ({args.library_size})")
+    radii = dict(args.sweep).get("radius")
     for radius in radii or [args.radius]:
         try:
             ModelConfig.check_distance_powers(radius, args.alpha)
         except ValueError as exc:
             error(f"{'--sweep radius' if radii else '--radius'} and --alpha: {exc}")
-
-    return ExperimentSpec(
-        mode=args.mode,
-        n_users=args.n_users,
-        radius=args.radius,
-        library_size=args.library_size,
-        gamma_r=args.zipf,
-        alpha=args.alpha,
-        beta=args.beta,
-        theta_grid=args.theta_db,
-        sweep=sweep,
-        trials=args.trials,
-        seed=args.seed,
-        si_model=args.si_model,
-        quad_nodes=args.quad_nodes,
-        output_path=args.out,
-    )
+    return args
 
 
 def _fmt(value) -> str:
@@ -328,9 +271,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _point_config(spec: ExperimentSpec, point: dict, profiles: dict) -> ModelConfig:
+def _point_config(spec: argparse.Namespace, point: dict, profiles: dict) -> ModelConfig:
     """The model of one sweep point; points of one ``gamma_r`` share its profile in ``profiles``."""
-    value = {**{name: getattr(spec, name) for name in SWEEPABLE}, **point}
+    value = {"n_users": spec.n_users, "gamma_r": spec.zipf, "radius": spec.radius, "beta": spec.beta, **point}
     if value["gamma_r"] not in profiles:
         profiles[value["gamma_r"]] = build_zipf(spec.library_size, value["gamma_r"])
     return ModelConfig(
@@ -341,20 +284,23 @@ def _point_config(spec: ExperimentSpec, point: dict, profiles: dict) -> ModelCon
     )
 
 
-def run(spec: ExperimentSpec) -> int:
-    """Execute the experiment, write the CSV, and print the summary.
+def run(spec: argparse.Namespace) -> int:
+    """Execute the experiment of a ``parse_args`` namespace, write the CSV, and print the summary.
 
+    Reads ``mode``, ``n_users``, ``radius``, ``library_size``, ``zipf``, ``alpha``, ``beta``,
+    ``theta_db``, ``sweep``, ``trials``, ``seed``, ``si_model``, ``quad_nodes`` and ``out``.
     Returns the process exit code: 0 on success, 3 on output I/O failure.
     """
-    thetas_db = spec.theta_grid.values_db()
-    thetas = spec.theta_grid.values_linear()
+    thetas = 10.0 ** (spec.theta_db / 10.0)
     quad = QuadratureSpec(spec.quad_nodes)
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
 
-    # every point's model is held until its tasks are folded
     profiles = {}
-    configs = [_point_config(spec, point, profiles) for point in spec.sweep_points()]
+    # the points are the cartesian product of the sweep, first parameter
+    # outermost; every point's model is held until its tasks are folded
+    points = itertools.product(*([(name, v) for v in values] for name, values in spec.sweep))
+    configs = [_point_config(spec, dict(point), profiles) for point in points]
     sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
     rows = []
     gap_overall = None
@@ -380,12 +326,12 @@ def run(spec: ExperimentSpec) -> int:
                 ))
             if analytic and simulate:
                 gap = float(np.max(np.abs(curve_a.p_total - curve_s.p_total)))
-                at_db = float(thetas_db[int(np.argmax(np.abs(curve_a.p_total - curve_s.p_total)))])
+                at_db = float(spec.theta_db[int(np.argmax(np.abs(curve_a.p_total - curve_s.p_total)))])
                 print(f"  max |p_total_analytic - p_total_sim| = {gap:.6f} at theta_db={at_db:g}")
                 gap_overall = gap if gap_overall is None else max(gap_overall, gap)
 
             p_cache = float((curve_a or curve_s).p_cache)
-            for i, theta_db in enumerate(thetas_db):
+            for i, theta_db in enumerate(spec.theta_db):
                 rows.append(
                     {
                         "theta_db": _fmt(float(theta_db)),
@@ -406,16 +352,16 @@ def run(spec: ExperimentSpec) -> int:
                 )
 
     try:
-        with open(spec.output_path, "w", newline="", encoding="utf-8") as fh:
+        with open(spec.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
     except OSError as exc:
-        print(f"fdd2d: cannot write {spec.output_path}: {exc}", file=sys.stderr)
+        print(f"fdd2d: cannot write {spec.out}: {exc}", file=sys.stderr)
         return 3
     if gap_overall is not None:
         print(f"overall max analytic-vs-simulated gap: {gap_overall:.6f}")
-    print(f"wrote {len(rows)} rows to {spec.output_path}")
+    print(f"wrote {len(rows)} rows to {spec.out}")
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import PopularityProfile
+from .popularity import PopularityProfile, hitting_probability
 
 __all__ = ["ModeProbabilities", "compute_mode_probabilities"]
 
@@ -62,12 +62,8 @@ def compute_mode_probabilities(profile: PopularityProfile, n_users: int) -> Mode
     one each); every user draws an independent request from ``profile``.
     The returned probabilities average over a uniformly chosen user.
     """
-    if isinstance(n_users, bool) or not 1 <= n_users <= profile.m:
-        raise ValueError(
-            f"n_users must be an integer in [1, m={profile.m}] (distinct cached contents), got {n_users}"
-        )
+    p_hit = hitting_probability(profile, n_users)  # checks n_users
     rho = profile.rho[:n_users]
-    p_hit = float(profile.p_hit_prefix[n_users - 1])
     undem = _undemanded(rho, n_users)
     dem = 1.0 - undem
 

@@ -87,10 +87,10 @@ def hitting_probability(profile: PopularityProfile, n_users: int) -> float:
     Users cache the ``n_users`` most popular contents, one distinct content
     each, so this is the prefix sum ``rho[0] + ... + rho[n_users-1]``.
     """
-    if isinstance(n_users, bool) or not 1 <= n_users <= profile.m:
+    if isinstance(n_users, bool) or not isinstance(n_users, (int, np.integer)) or not 1 <= n_users <= profile.m:
         raise ValueError(
             f"n_users must be an integer in [1, m={profile.m}] (each user caches a distinct "
-            f"content), got {n_users}"
+            f"content), got {n_users!r}"
         )
     return float(profile.p_hit_prefix[n_users - 1])
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fdd2d.cli import CSV_COLUMNS, main, parse_args
+from fdd2d.cli import CSV_COLUMNS, main, parse_args, run
 
 # CLI subprocesses import the checkout's package, installed or not
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -40,11 +40,11 @@ def test_parse_fig4_style_flags():
     assert spec.mode == "analytic"
     assert spec.n_users == 20
     assert spec.radius == 40.0
-    assert spec.gamma_r == 0.8
+    assert spec.zipf == 0.8
     assert spec.library_size == 1000  # default
     assert spec.alpha == 4.0          # default
     assert spec.beta == 1e-5          # default
-    grid = spec.theta_grid.values_db()
+    grid = spec.theta_db
     assert grid[0] == -10.0 and grid[-1] == 30.0 and len(grid) == 41
 
 
@@ -53,7 +53,6 @@ def test_parse_fig3_style_sweep():
         ["--n-users", "5", "--sweep", "n_users=5,10,20,40", "--zipf", "1.2", "--radius", "30"]
     )
     assert spec.sweep == [("n_users", [5, 10, 20, 40])]
-    assert [p["n_users"] for p in spec.sweep_points()] == [5, 10, 20, 40]
 
 
 def test_missing_n_users_exits_2():
@@ -156,10 +155,26 @@ def test_large_distance_power_analytic_run_without_warnings(tmp_path):
             assert 0.0 <= float(row[column]) <= 1.0
 
 
-def test_n_users_above_library_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--n-users", "50", "--library-size", "10"])
-    assert exc.value.code == 2
+def test_n_users_above_library_exits_2(capsys):
+    # the message names the flag whose counts the run uses
+    for argv, named in (
+        (["--n-users", "50"], "--n-users"),
+        (["--n-users", "5", "--sweep", "n_users=5,50"], "--sweep n_users"),
+        (["--n-users", "50", "--sweep", "n_users=5,50"], "--sweep n_users"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*argv, "--library-size", "10"])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+
+def test_swept_n_users_replaces_the_flag_in_the_library_check(tmp_path):
+    # only the swept counts are run, so only they must fit in the library
+    out = tmp_path / "out.csv"
+    args = ["--n-users", "2000", "--library-size", "1000", "--sweep", "n_users=5", "--theta-db", "0:0:1",
+            *QUICK_NODES, "--out", str(out)]
+    assert run(parse_args(args)) == 0
+    assert [r["n_users"] for r in read_rows(out)] == ["5"]
 
 
 def test_bad_sweep_parameter_exits_2():
@@ -371,15 +386,22 @@ def test_repeated_seed_byte_identical(tmp_path):
 
 
 def test_sweep_produces_row_per_point(tmp_path):
-    out = tmp_path / "sweep.csv"
-    result = run_cli(
-        ["--mode", "analytic", "--n-users", "5", "--sweep", "n_users=5,10",
-         "--theta-db", "0:10:10", "--quad-nodes", "v=8,t=8,z0=8,angle=12,zi=8",
-         "--out", str(out)]
-    )
-    assert result.returncode == 0
-    rows = read_rows(out)
-    assert [r["n_users"] for r in rows] == ["5", "5", "10", "10"]
+    # points follow the cartesian product in flag order, first parameter
+    # outermost, with one row per threshold
+    for sweep, expected in (
+        (["--sweep", "n_users=5,10"], [("5", "1e-05")] * 2 + [("10", "1e-05")] * 2),
+        (["--sweep", "beta=1e-5,0.01", "--sweep", "n_users=5,10"],
+         [("5", "1e-05")] * 2 + [("10", "1e-05")] * 2 + [("5", "0.01")] * 2 + [("10", "0.01")] * 2),
+    ):
+        out = tmp_path / "sweep.csv"
+        result = run_cli(
+            ["--mode", "analytic", "--n-users", "5", *sweep,
+             "--theta-db", "0:10:10", "--quad-nodes", "v=8,t=8,z0=8,angle=12,zi=8",
+             "--out", str(out)]
+        )
+        assert result.returncode == 0
+        rows = read_rows(out)
+        assert [(r["n_users"], r["beta"]) for r in rows] == expected
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -400,6 +422,23 @@ def test_config_file_with_flag_override(tmp_path):
     rows = read_rows(out)
     assert rows[0]["gamma_r"] == "1.2"  # flag wins over file
     assert rows[0]["n_users"] == "5"
+
+
+def test_config_file_and_flags_give_the_same_run(tmp_path, monkeypatch):
+    monkeypatch.setenv("FD_D2D_THREADS", "1")
+    settings = [
+        ("mode", "both"), ("n_users", "5"), ("radius", "25"), ("library_size", "500"), ("zipf", "0.8"),
+        ("alpha", "3.5"), ("beta", "1e-4"), ("theta_db", "-5:12:1.5"), ("sweep", "n_users=5,12"),
+        ("sweep", "beta=1e-05,0.01"), ("trials", "600"), ("seed", "7"), ("si_model", "single"),
+        ("quad_nodes", "v=8,t=8,z0=8,angle=12,zi=8"),
+    ]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings) + f"out = {tmp_path / 'file.csv'}\n")
+    flags = [part for key, value in settings for part in ("--" + key.replace("_", "-"), value)]
+    assert run(parse_args(["--config", str(cfg)])) == 0
+    assert run(parse_args([*flags, "--out", str(tmp_path / "flags.csv")])) == 0
+    assert len(read_rows(tmp_path / "file.csv")) == 4 * 12
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -476,12 +515,15 @@ def test_pool_is_shut_down_when_a_curve_fails(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_theta_grid_endpoint_inclusion():
+def test_theta_grid_endpoint_inclusion(tmp_path):
     spec = parse_args(["--n-users", "5", "--theta-db", "-10:30:2"])
-    grid = spec.theta_grid.values_db()
+    grid = spec.theta_db
     assert grid[0] == -10.0 and grid[-1] == 30.0 and len(grid) == 21
-    spec = parse_args(["--n-users", "5", "--theta-db", "0:9.5:2"])
-    grid = spec.theta_grid.values_db()
+    out = tmp_path / "grid.csv"
+    spec = parse_args(["--n-users", "5", "--theta-db", "0:9.5:2", *QUICK_NODES, "--out", str(out)])
+    grid = spec.theta_db
     assert grid[-1] == 8.0  # step does not divide the span: stop excluded
-    lin = spec.theta_grid.values_linear()
-    np.testing.assert_allclose(lin, 10 ** (grid / 10))
+    assert run(spec) == 0
+    rows = read_rows(out)
+    assert [float(r["theta_db"]) for r in rows] == list(grid)
+    np.testing.assert_array_equal([float(r["theta_linear"]) for r in rows], 10.0 ** (grid / 10.0))

@@ -35,8 +35,10 @@ def test_rejects_more_users_than_contents():
     profile = build_zipf(5, 1.0)
     with pytest.raises(ValueError):
         compute_mode_probabilities(profile, 6)
-    with pytest.raises(ValueError):
-        compute_mode_probabilities(profile, True)
+    for bad in (True, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError):
+            compute_mode_probabilities(profile, bad)
+    assert compute_mode_probabilities(profile, np.int64(3)) == compute_mode_probabilities(profile, 3)
 
 
 def _check_identities(mp, p_hit, n_users):

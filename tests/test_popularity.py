@@ -88,8 +88,10 @@ def test_hitting_probability_rejects_out_of_range():
         hitting_probability(profile, 6)
     with pytest.raises(ValueError):
         hitting_probability(profile, 0)
-    with pytest.raises(ValueError):
-        hitting_probability(profile, True)
+    for bad in (True, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError):
+            hitting_probability(profile, bad)
+    assert hitting_probability(profile, np.int64(3)) == hitting_probability(profile, 3)
 
 
 def test_hitting_probability_monotone_in_n():

@@ -235,7 +235,7 @@ def force_workers(monkeypatch, count):
     monkeypatch.setattr("fdd2d.simulator.resolve_workers", lambda: count)
 
 
-def test_run_experiment_single_trial_single_user(monkeypatch):
+def test_simulate_points_single_trial_single_user(monkeypatch):
     cfg = ModelConfig(1, DiskConfig(10.0), build_zipf(5, 1.0), ChannelConfig())
     force_workers(monkeypatch, 1)
     for seed in range(8):
@@ -245,7 +245,7 @@ def test_run_experiment_single_trial_single_user(monkeypatch):
         assert curve.p_total[0] == report.mode_counts[Mode.SR]
 
 
-def test_run_experiment_deterministic_across_workers(monkeypatch):
+def test_simulate_points_deterministic_across_workers(monkeypatch):
     sim = SimConfig(trials=600, master_seed=42)
     thetas = [0.5, 2.0]
     force_workers(monkeypatch, 1)
@@ -260,7 +260,7 @@ def test_run_experiment_deterministic_across_workers(monkeypatch):
     np.testing.assert_array_equal(r1.tx_count_hist, r2.tx_count_hist)
 
 
-def test_run_experiment_repeatable(monkeypatch):
+def test_simulate_points_repeatable(monkeypatch):
     sim = SimConfig(trials=300, master_seed=7)
     force_workers(monkeypatch, 1)
     with simulate_points([CFG], sim, [1.0]) as points:
