@@ -76,7 +76,14 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All scalar parameters of the network model."""
+    """All scalar parameters of the network model.
+
+    ``n_users`` may not exceed the library size, since each user caches a
+    distinct content.  Link distances up to the diameter must raise to
+    +-alpha within float64: the simulator takes ``W**-alpha`` and
+    ``Z**alpha`` of distances up to ``2 * radius``, and the transform scales
+    SI by ``beta * radius**alpha``.
+    """
 
     n_users: int
     disk: DiskConfig
@@ -90,15 +97,7 @@ class ModelConfig:
                 f"n_users={self.n_users} exceeds library size m={self.profile.m}; "
                 f"each user caches a distinct content"
             )
-        self.check_distance_powers(self.disk.radius, self.channel.alpha)
-
-    @staticmethod
-    def check_distance_powers(radius: float, alpha: float) -> None:
-        """Check that link distances up to the diameter raise to +-alpha within float64.
-
-        The simulator takes ``W**-alpha`` and ``Z**alpha`` of distances up to
-        ``2 * radius``, and the transform scales SI by ``beta * radius**alpha``.
-        """
+        radius, alpha = self.disk.radius, self.channel.alpha
         with np.errstate(over="ignore"):
             powers = np.power([2.0 * radius, radius], [alpha, -alpha])
         if not np.all(np.isfinite(powers)):

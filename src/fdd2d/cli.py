@@ -97,22 +97,21 @@ def _theta_grid(text) -> np.ndarray:
     return grid
 
 
-def _quad_nodes(text) -> dict:
+def _quad_nodes(text) -> QuadratureSpec:
+    """The quadrature rule of ``LEVEL=K`` pairs; :class:`QuadratureSpec` checks the levels and counts."""
     overrides = {}
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        if "=" not in pair:
+    for pair in filter(None, (pair.strip() for pair in text.split(","))):
+        level, eq, count = pair.partition("=")
+        if not eq:
             raise argparse.ArgumentTypeError(f"expects LEVEL=K pairs, got {pair!r}")
-        level, _, count = pair.partition("=")
         level = level.strip()
-        if level not in DEFAULT_NODES:
-            raise argparse.ArgumentTypeError(f"level must be one of {sorted(DEFAULT_NODES)}, got {level!r}")
         if level in overrides:
             raise argparse.ArgumentTypeError(f"level {level!r} is given more than once")
-        overrides[level] = _number(int, lambda v: v >= 4, f"give level {level!r} at least 4 nodes")(count)
-    return overrides
+        overrides[level] = _number(int)(count)
+    try:
+        return QuadratureSpec(overrides)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, default=SI_PER_INTERFERER, help="self-interference accounting (default %(default)s)")
     parser.add_argument(
-        "--quad-nodes", dest="quad_nodes", type=_quad_nodes, default={}, metavar="LEVEL=K,...",
+        "--quad-nodes", dest="quad_nodes", type=_quad_nodes, default="", metavar="LEVEL=K,...",
         help=f"override quadrature node counts per level, defaults {DEFAULT_NODES}",
     )
     parser.add_argument("--out", default="results.csv", help="output CSV path (default %(default)s)")
@@ -158,7 +157,7 @@ def _read_config_file(path: str, known, error) -> dict:
     values = {"sweep": []}
     first_line = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -217,14 +216,15 @@ def _join_theta_flag(argv) -> list:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse flags (and an optional config file) into the validated namespace that ``run`` reads.
 
-    ``run`` reads ``mode``, ``n_users``, ``radius``, ``library_size``, ``zipf``
-    (gamma_r), ``alpha``, ``beta``, ``theta_db`` (the dB grid as an array),
-    ``sweep`` (``(parameter, values)`` pairs in flag order), ``trials``,
-    ``seed``, ``si_model``, ``quad_nodes`` and ``out``.  Each numeric flag
-    converts and checks its value in its argparse ``type``, which also
-    converts the string defaults a config file sets; ``--sweep`` values go
-    through the same converters.  Usage problems exit with status 2 and a
-    message naming the flag.
+    ``run`` reads ``mode``, ``configs`` (the ``ModelConfig`` of each point of
+    ``sweep``, whose ``(parameter, values)`` pairs are in flag order),
+    ``theta_db`` (the dB grid as an array), ``trials``, ``seed``,
+    ``si_model``, ``quad_nodes`` (a ``QuadratureSpec``) and ``out``.  Each
+    numeric flag converts and checks its value in its argparse ``type``,
+    which also converts the string defaults a config file sets; ``--sweep``
+    values go through the same converters.  The models and the quadrature
+    rule check themselves as they are built.  Usage problems exit with
+    status 2 and a message naming the flag.
     """
     parser = _build_parser()
     argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
@@ -253,22 +253,19 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     args.sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
     # a swept parameter's values replace its flag in every point of the run
-    users = dict(args.sweep).get("n_users")
-    if max(users or [args.n_users]) > args.library_size:
-        error(f"{'--sweep n_users' if users else '--n-users'} must not exceed --library-size ({args.library_size})")
-    radii = dict(args.sweep).get("radius")
-    for radius in radii or [args.radius]:
+    source = {name: f"--sweep {name}" for name, _ in args.sweep}
+    profiles, args.configs = {}, []
+    # the points are the cartesian product of the sweep, first parameter outermost
+    for point in itertools.product(*([(name, v) for v in values] for name, values in args.sweep)):
         try:
-            ModelConfig.check_distance_powers(radius, args.alpha)
+            args.configs.append(_point_config(args, dict(point), profiles))
         except ValueError as exc:
-            error(f"{'--sweep radius' if radii else '--radius'} and --alpha: {exc}")
+            error(f"{source.get('n_users', '--n-users')}, --library-size, {source.get('radius', '--radius')} and --alpha: {exc}")
     return args
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _point_config(spec: argparse.Namespace, point: dict, profiles: dict) -> ModelConfig:
@@ -284,30 +281,37 @@ def _point_config(spec: argparse.Namespace, point: dict, profiles: dict) -> Mode
     )
 
 
+def _rows(spec: argparse.Namespace, thetas, cfg: ModelConfig, curve_a, curve_s):
+    """The CSV rows of one point, each a list in ``CSV_COLUMNS`` order."""
+    blank = (itertools.repeat(""),) * 2
+    columns = zip(
+        spec.theta_db, thetas, itertools.repeat(float((curve_a or curve_s).p_cache)),
+        *((curve_a.p_sir, curve_a.p_total) if curve_a is not None else blank),
+        *((curve_s.p_total, curve_s.ci_halfwidth) if curve_s is not None else blank),
+    )
+    fixed = [_fmt(v) for v in (cfg.n_users, cfg.profile.gamma_r, cfg.disk.radius, cfg.channel.alpha, cfg.channel.beta,
+                               *((spec.trials, spec.seed) if curve_s is not None else ("", "")))]
+    for values in columns:
+        yield [*map(_fmt, values), *fixed]
+
+
 def run(spec: argparse.Namespace) -> int:
     """Execute the experiment of a ``parse_args`` namespace, write the CSV, and print the summary.
 
-    Reads ``mode``, ``n_users``, ``radius``, ``library_size``, ``zipf``, ``alpha``, ``beta``,
-    ``theta_db``, ``sweep``, ``trials``, ``seed``, ``si_model``, ``quad_nodes`` and ``out``.
+    Reads the attributes that ``parse_args`` names, ``configs`` and ``quad_nodes`` among them.
+    Each point's curves are kept, and its rows formatted only as the CSV is written after the last point.
     Returns the process exit code: 0 on success, 3 on output I/O failure.
     """
     thetas = 10.0 ** (spec.theta_db / 10.0)
-    quad = QuadratureSpec(spec.quad_nodes)
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
-
-    profiles = {}
-    # the points are the cartesian product of the sweep, first parameter
-    # outermost; every point's model is held until its tasks are folded
-    points = itertools.product(*([(name, v) for v in values] for name, values in spec.sweep))
-    configs = [_point_config(spec, dict(point), profiles) for point in points]
     sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
-    rows = []
+    curves = []
     gap_overall = None
     # every point's tasks are queued before the first analytic curve,
     # so the workers simulate while this process computes curves
-    with simulate_points(configs if simulate else [], sim, thetas) as simulated:
-        for cfg in configs:
+    with simulate_points(spec.configs if simulate else [], sim, thetas) as simulated:
+        for cfg in spec.configs:
             mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
             print(
                 f"== n_users={cfg.n_users} gamma_r={cfg.profile.gamma_r} radius={cfg.disk.radius} "
@@ -316,7 +320,7 @@ def run(spec: argparse.Namespace) -> int:
             print("  " + "  ".join(f"{name[2:].upper().replace('_', '-')}={getattr(mp, name):.6f}" for name in MODE_FIELDS))
             print(f"  P-TX={mp.p_tx:.6f}")
 
-            curve_a = success_curve(cfg, thetas, quad, spec.si_model) if analytic else None
+            curve_a = success_curve(cfg, thetas, spec.quad_nodes, spec.si_model) if analytic else None
             curve_s = None
             if simulate:
                 curve_s, report = next(simulated)
@@ -330,38 +334,20 @@ def run(spec: argparse.Namespace) -> int:
                 print(f"  max |p_total_analytic - p_total_sim| = {gap:.6f} at theta_db={at_db:g}")
                 gap_overall = gap if gap_overall is None else max(gap_overall, gap)
 
-            p_cache = float((curve_a or curve_s).p_cache)
-            for i, theta_db in enumerate(spec.theta_db):
-                rows.append(
-                    {
-                        "theta_db": _fmt(float(theta_db)),
-                        "theta_linear": _fmt(float(thetas[i])),
-                        "p_cache": _fmt(p_cache),
-                        "p_sir_analytic": _fmt(float(curve_a.p_sir[i])) if curve_a is not None else "",
-                        "p_total_analytic": _fmt(float(curve_a.p_total[i])) if curve_a is not None else "",
-                        "p_total_sim": _fmt(float(curve_s.p_total[i])) if curve_s is not None else "",
-                        "ci_halfwidth": _fmt(float(curve_s.ci_halfwidth[i])) if curve_s is not None else "",
-                        "n_users": _fmt(cfg.n_users),
-                        "gamma_r": _fmt(cfg.profile.gamma_r),
-                        "radius": _fmt(cfg.disk.radius),
-                        "alpha": _fmt(cfg.channel.alpha),
-                        "beta": _fmt(cfg.channel.beta),
-                        "trials": _fmt(spec.trials) if simulate else "",
-                        "seed": _fmt(spec.seed) if simulate else "",
-                    }
-                )
+            curves.append((cfg, curve_a, curve_s))
 
     try:
         with open(spec.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for point in curves:
+                writer.writerows(_rows(spec, thetas, *point))
     except OSError as exc:
         print(f"fdd2d: cannot write {spec.out}: {exc}", file=sys.stderr)
         return 3
     if gap_overall is not None:
         print(f"overall max analytic-vs-simulated gap: {gap_overall:.6f}")
-    print(f"wrote {len(rows)} rows to {spec.out}")
+    print(f"wrote {len(curves) * len(thetas)} rows to {spec.out}")
     return 0
 
 

@@ -57,12 +57,12 @@ def build_zipf(m: int, gamma_r: float) -> PopularityProfile:
     Parameters
     ----------
     m : int
-        Library size, at least 1.
+        Library size, an integer of at least 1; anything else is a ValueError.
     gamma_r : float
         Skew exponent, finite and nonnegative.  0 yields the uniform library.
     """
-    if m < 1:
-        raise ValueError(f"library size must be at least 1, got m={m}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"library size must be an integer of at least 1, got m={m!r}")
     if not math.isfinite(gamma_r) or gamma_r < 0:
         raise ValueError(f"skew exponent must be finite and nonnegative, got gamma_r={gamma_r}")
     rho = np.arange(1, m + 1, dtype=np.float64)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,11 +250,34 @@ def test_config_file_value_outside_choices_exits_2(line, flag, tmp_path, capsys)
     assert f"{flag} must be one of" in capsys.readouterr().err
 
 
-def test_repeated_quad_nodes_level_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--n-users", "5", "--quad-nodes", "v=30,v=40"])
-    assert exc.value.code == 2
-    assert "'v'" in capsys.readouterr().err
+def test_bad_quad_nodes_exit_2(tmp_path, capsys):
+    # the converter checks the pair syntax; QuadratureSpec checks levels and counts
+    cfg = tmp_path / "nodes.cfg"
+    for nodes, named in (("v=30,v=40", "'v'"), ("bogus=8", "'bogus'"), ("v=3", "'v'")):
+        cfg.write_text(f"n_users = 5\nquad_nodes = {nodes}\n")
+        for argv in (["--n-users", "5", "--quad-nodes", nodes], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--quad-nodes" in err and named in err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # editors such as Windows Notepad write one before the first key
+    cfg = tmp_path / "run.cfg"
+    text = "n_users = 5\nzipf = 0.8\nsweep = radius=20,40\ntheta_db = 0:10:5\n"
+    specs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        cfg.write_bytes(prefix + text.encode())
+        specs.append(vars(parse_args(["--config", str(cfg)])))
+    plain, marked = specs
+    for spec in specs:
+        spec["theta_db"] = spec["theta_db"].tolist()
+        spec["configs"] = [(c.n_users, c.profile.gamma_r, c.disk.radius, c.channel.alpha, c.channel.beta)
+                           for c in spec["configs"]]
+    assert marked == plain
+    assert plain["configs"] == [(5, 0.8, 20.0, 4.0, 1e-5), (5, 0.8, 40.0, 4.0, 1e-5)]
 
 
 def loaded_modules(statements, packages, env_extra=None):
@@ -513,6 +537,24 @@ def test_pool_is_shut_down_when_a_curve_fails(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="curve failed"):
         main(pool_run_args(tmp_path / "out.csv"))
     assert multiprocessing.active_children() == []
+
+
+def test_run_memory_grows_by_a_few_floats_per_threshold(tmp_path, monkeypatch):
+    # a run holds each point's curves and formats a row only as it writes it;
+    # a formatted row held until the end costs over 1 KB per threshold
+    monkeypatch.setenv("FD_D2D_THREADS", "1")
+    peaks = {}
+    # the first grid runs twice, so one-time allocations fall in neither peak
+    for grid in ("0:40:0.01", "0:40:0.01", "0:40:0.002"):
+        spec = parse_args(["--mode", "simulate", "--n-users", "10", "--trials", "10", "--theta-db", grid,
+                           "--out", str(tmp_path / "out.csv")])
+        tracemalloc.start()
+        try:
+            assert run(spec) == 0
+            peaks[len(spec.theta_db)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[20001] - peaks[4001]) / (20001 - 4001) < 128, peaks
 
 
 def test_theta_grid_endpoint_inclusion(tmp_path):

@@ -55,6 +55,10 @@ def test_rejects_bad_arguments():
         build_zipf(10, float("nan"))
     with pytest.raises(ValueError):
         build_zipf(10, float("inf"))
+    for bad in (True, 2.5, np.float64(3.0), "3"):
+        with pytest.raises(ValueError):
+            build_zipf(bad, 1.0)
+    np.testing.assert_array_equal(build_zipf(np.int64(3), 1.0).rho, build_zipf(3, 1.0).rho)
 
 
 def test_profile_arrays_are_immutable():
