@@ -341,8 +341,8 @@ def laplace_interference(
     si_model : str
         Self-interference accounting, see :data:`SI_MODELS`.
     """
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"transform argument must be finite and nonnegative, got s={s}")
+    if isinstance(s, (bool, np.bool_)) or not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"transform argument must be a finite nonnegative number, got s={s!r}")
     if delta not in RECEIVER_KINDS:
         raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
     if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)) or n_t < 1:
@@ -431,7 +431,10 @@ def _check_integer(config, name: str, minimum: int) -> None:
 
 
 def _check_thresholds(thetas) -> np.ndarray:
-    """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds."""
+    """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds (not bools)."""
+    thetas = np.asarray(thetas)
+    if thetas.dtype == np.bool_:
+        raise ValueError("thetas must be numbers, not bools")
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("thetas must be a non-empty 1-D grid")

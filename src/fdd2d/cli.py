@@ -152,13 +152,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str, known, error) -> dict:
-    """Values by key; ``sweep`` lines add up to a list, any other key may appear once."""
-    values = {"sweep": []}
-    first_line = {}
+def _read_config_file(path: str, known, sweep_flagged: bool, error) -> list:
+    """The file's ``key = value`` lines as ``--key=value`` flags, in file order.
+
+    ``sweep`` lines add up, and are left out when the command line has its own
+    ``--sweep``; any other key may appear once.
+    """
+    flags, first_line = [], {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                if "\0" in raw:
+                    error(f"--config {path}: line {lineno} holds a NUL byte; a config file is text")
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -168,16 +173,14 @@ def _read_config_file(path: str, known, error) -> dict:
                 key = key.replace("-", "_")
                 if key not in known:
                     error(f"--config {path}: line {lineno} has unknown key {key!r}; valid: {sorted(known)}")
-                if key == "sweep":
-                    values["sweep"].append(value)
-                    continue
-                if key in first_line:
+                if key in first_line and key != "sweep":
                     error(f"--config {path}: key {key!r} is given on line {first_line[key]} and again on line {lineno}")
-                first_line[key] = lineno
-                values[key] = value
-    except OSError as exc:
+                first_line.setdefault(key, lineno)
+                if key != "sweep" or not sweep_flagged:
+                    flags.append(f"--{key.replace('_', '-')}={value}")
+    except (OSError, UnicodeDecodeError) as exc:
         error(f"--config: cannot read {path}: {exc}")
-    return values
+    return flags
 
 
 def _parse_sweep(entries, error) -> list:
@@ -219,39 +222,31 @@ def parse_args(argv=None) -> argparse.Namespace:
     ``run`` reads ``mode``, ``configs`` (the ``ModelConfig`` of each point of
     ``sweep``, whose ``(parameter, values)`` pairs are in flag order),
     ``theta_db`` (the dB grid as an array), ``trials``, ``seed``,
-    ``si_model``, ``quad_nodes`` (a ``QuadratureSpec``) and ``out``.  Each
-    numeric flag converts and checks its value in its argparse ``type``,
-    which also converts the string defaults a config file sets; ``--sweep``
-    values go through the same converters.  The models and the quadrature
-    rule check themselves as they are built.  Usage problems exit with
-    status 2 and a message naming the flag.
+    ``si_model``, ``quad_nodes`` (a ``QuadratureSpec``) and ``out``.  A
+    config file's lines are read as the flags they name, placed before the
+    command line's, so flags win and argparse checks each value's ``type``
+    and ``choices`` whichever source gives it; ``--sweep`` values go through
+    the same converters.  The models and the quadrature rule check themselves
+    as they are built.  Usage problems, a config file that is not text among
+    them, exit with status 2 and a message naming the flag.
     """
     parser = _build_parser()
     argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     error = parser.error
-
-    file_sweep = []
     if args.config:
-        # file values become the defaults that flags override; a --sweep flag
-        # replaces the file's sweep instead of adding to it
-        file_values = _read_config_file(args.config, set(vars(args)) - {"config"}, error)
-        file_sweep = file_values.pop("sweep")
-        parser.set_defaults(**file_values)
-        args = parser.parse_args(argv)
+        # the file's lines are flags placed before the command line's, which win
+        file_flags = _read_config_file(args.config, set(vars(args)) - {"config"}, args.sweep is not None, error)
+        args = parser.parse_args(file_flags + argv)
 
-    if args.mode not in RUN_MODES:
-        error(f"--mode must be one of {RUN_MODES}, got {args.mode!r}")
     try:
         resolve_workers()
     except ValueError as exc:
         error(str(exc))
-    if args.si_model not in SI_MODELS:
-        error(f"--si-model must be one of {SI_MODELS}, got {args.si_model!r}")
     if args.n_users is None:
         error("--n-users is required (flag or config file)")
 
-    args.sweep = _parse_sweep(args.sweep if args.sweep is not None else file_sweep, error)
+    args.sweep = _parse_sweep(args.sweep or [], error)
     # a swept parameter's values replace its flag in every point of the run
     source = {name: f"--sweep {name}" for name, _ in args.sweep}
     profiles, args.configs = {}, []

@@ -75,11 +75,11 @@ def record(command: dict, threads: int) -> dict:
         with open(out, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
     stdout = "".join(line for line in proc.stdout.splitlines(keepends=True) if not line.startswith("wrote "))
+    analytic = {name: header.index(name) for name in ANALYTIC}
     hashed = [i for i, name in enumerate(header) if name not in ANALYTIC]
     return {
         "columns": header,
-        "analytic": {name: [float(row[header.index(name)]) if row[header.index(name)] else None for row in rows]
-                     for name in ANALYTIC},
+        "analytic": {name: [float(row[i]) if row[i] else None for row in rows] for name, i in analytic.items()},
         "hashed": {header[i]: _sha256("\n".join(row[i] for row in rows)) for i in hashed},
         "row_digests": [_sha256(",".join(row[i] for i in hashed))[:8] for row in rows],
         "stdout": _sha256(stdout),

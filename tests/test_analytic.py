@@ -102,6 +102,8 @@ def test_laplace_rejects_bad_arguments():
     with pytest.raises(ValueError):
         laplace_interference(-1.0, HDRX, 2, CFG)
     with pytest.raises(ValueError):
+        laplace_interference(True, HDRX, 2, CFG)
+    with pytest.raises(ValueError):
         laplace_interference(1.0, "XYZ", 2, CFG)
     with pytest.raises(ValueError):
         laplace_interference(1.0, HDRX, 0, CFG)
@@ -160,6 +162,8 @@ def test_success_probability_rejects_bad_theta():
         success_probability(CFG, 0.0)
     with pytest.raises(ValueError):
         success_probability(CFG, float("inf"))
+    with pytest.raises(ValueError):
+        success_probability(CFG, True)
 
 
 def test_curve_wrapper_consistency():
@@ -186,6 +190,8 @@ def test_curve_rejects_bad_grids():
         success_curve(CFG, [2.0, 1.0])
     with pytest.raises(ValueError):
         success_curve(CFG, [-1.0, 2.0])
+    with pytest.raises(ValueError):
+        success_curve(CFG, [True])
 
 
 def test_high_threshold_approaches_interference_free_floor():

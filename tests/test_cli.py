@@ -241,13 +241,49 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, flag", [("mode = foo", "--mode"), ("si_model = nope", "--si-model")])
 def test_config_file_value_outside_choices_exits_2(line, flag, tmp_path, capsys):
-    # argparse checks choices on flags only, not on the defaults a config file sets
+    # a config file's lines are parsed as flags, so argparse checks their choices
     cfg = tmp_path / "choice.cfg"
     cfg.write_text(f"n_users = 5\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         parse_args(["--config", str(cfg)])
     assert exc.value.code == 2
-    assert f"{flag} must be one of" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("mode", "foo"), ("si_model", "nope"), ("radius", "0"), ("quad_nodes", "bogus=8")],
+)
+def test_bad_value_gives_the_same_error_from_file_and_flag(key, bad, tmp_path, capsys):
+    # one argparse pass checks a value whichever source gives it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_users = 5\n{key} = {bad}\n")
+    errors = []
+    for argv in (["--config", str(cfg)], ["--n-users", "5", "--" + key.replace("_", "-"), bad]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [(b"\xff\xfe n_users = 5\n", "--config"), (b"n_users = 5\nout = a\x00b.csv\n", "line 2")],
+    ids=["not-utf8", "nul-byte"],
+)
+def test_config_file_that_is_not_text_exits_2(content, named, tmp_path, monkeypatch, capsys):
+    # the file is read before anything runs, so no output is written
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--theta-db", "0:0:1", *QUICK_NODES])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and named in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_bad_quad_nodes_exit_2(tmp_path, capsys):

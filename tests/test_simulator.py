@@ -271,8 +271,8 @@ def test_simulate_points_repeatable(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "thetas", [[], [[0.5, 2.0]], [2.0, 0.5], [0.0, 1.0], [1.0, np.inf]],
-    ids=["empty", "2-D", "unsorted", "zero", "inf"],
+    "thetas", [[], [[0.5, 2.0]], [2.0, 0.5], [0.0, 1.0], [1.0, np.inf], np.array([True])],
+    ids=["empty", "2-D", "unsorted", "zero", "inf", "bool"],
 )
 def test_simulate_points_rejects_bad_thresholds_before_any_pool(thetas, monkeypatch):
     def no_pool(*args, **kwargs):
