@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import DiskConfig, link_distance_nodes
 from .modes import compute_mode_probabilities
 from .popularity import PopularityProfile, hitting_probability
-from .quadrature import QuadratureSpec, QuadratureWarning, panel_rule
+from .quadrature import QuadratureSpec, QuadratureWarning, _checked, panel_rule
 
 __all__ = [
     "FDTR",
@@ -68,10 +68,8 @@ class ChannelConfig:
     beta: float = 1e-5
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 2):
-            raise ValueError(f"path-loss exponent must exceed 2, got alpha={self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"self-interference ratio must lie in [0, 1], got beta={self.beta}")
+        object.__setattr__(self, "alpha", _checked(float, self.alpha, "alpha", 2, low_open=True))
+        object.__setattr__(self, "beta", _checked(float, self.beta, "beta", 0, 1))
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class ModelConfig:
     channel: ChannelConfig
 
     def __post_init__(self):
-        _check_integer(self, "n_users", 1)
+        object.__setattr__(self, "n_users", _checked(int, self.n_users, "n_users", 1))
         if self.n_users > self.profile.m:
             raise ValueError(
                 f"n_users={self.n_users} exceeds library size m={self.profile.m}; "
@@ -341,15 +339,11 @@ def laplace_interference(
     si_model : str
         Self-interference accounting, see :data:`SI_MODELS`.
     """
-    if isinstance(s, (bool, np.bool_)) or not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"transform argument must be a finite nonnegative number, got s={s!r}")
+    s, m = _checked(float, s, "s", 0), _checked(int, n_t, "n_t", 1) - 1
     if delta not in RECEIVER_KINDS:
         raise ValueError(f"receiver kind must be one of {RECEIVER_KINDS}, got {delta!r}")
-    if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ValueError(f"transmitter count must be an integer >= 1 (the serving node transmits), got {n_t}")
     ev, scale = _evaluator(cfg, spec, si_model)
-    m = int(n_t) - 1
-    k_m = ev.kernels([s])[float(s)] ** m
+    k_m = ev.kernels([s])[s] ** m
     if delta == FDTR:
         # A point-mass count needs no (v, t, z0) grid: (K*e_k)**m = K**m * e_k**m.
         si_power = m if si_model == SI_PER_INTERFERER else 1
@@ -420,21 +414,11 @@ def success_probability(
     return SuccessProbability(float(curve.p_total[0]), curve.p_cache, float(curve.p_sir[0]))
 
 
-def _check_integer(config, name: str, minimum: int) -> None:
-    """Check that a config's count or seed is an integer (not a bool) of at least ``minimum``; store it as an ``int``, which cannot wrap."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    object.__setattr__(config, name, int(value))
-
-
 def _check_thresholds(thetas) -> np.ndarray:
-    """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds (not bools)."""
+    """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds of integer or float dtype."""
     thetas = np.asarray(thetas)
-    if thetas.dtype == np.bool_:
-        raise ValueError("thetas must be numbers, not bools")
+    if thetas.dtype.kind not in "iuf":
+        raise ValueError(f"thetas must be of integer or float dtype, got {thetas.dtype}")
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("thetas must be a non-empty 1-D grid")

@@ -6,6 +6,7 @@ import argparse
 import csv
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -164,7 +165,8 @@ def _read_config_file(path: str, known, sweep_flagged: bool, error) -> list:
             for lineno, raw in enumerate(fh, start=1):
                 if "\0" in raw:
                     error(f"--config {path}: line {lineno} holds a NUL byte; a config file is text")
-                line = raw.split("#", 1)[0].strip()
+                # a comment starts at a "#" that opens the line or follows whitespace
+                line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:

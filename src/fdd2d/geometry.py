@@ -7,12 +7,11 @@ transform builds every distance level from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import panel_rule
+from .quadrature import _checked, panel_rule
 
 __all__ = ["DiskConfig", "link_distance_nodes"]
 
@@ -24,8 +23,7 @@ class DiskConfig:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "radius", _checked(float, self.radius, "radius", 0, low_open=True))
 
 
 def link_distance_nodes(q: float, cfg: DiskConfig, nodes: int):
@@ -40,8 +38,7 @@ def link_distance_nodes(q: float, cfg: DiskConfig, nodes: int):
     ``nodes`` points.
     """
     radius = cfg.radius
-    if not 0 <= q <= radius:
-        raise ValueError(f"offset q must lie in [0, R={radius}], got {q}")
+    q, nodes = _checked(float, q, "q", 0, radius), _checked(int, nodes, "nodes", 1)
     z_near, w_near = panel_rule(0.0, radius - q, nodes)
     w_near = w_near * 2.0 * z_near / radius**2
     if q == 0:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quadrature import _checked
 
 __all__ = [
     "PopularityProfile",
@@ -61,12 +62,9 @@ def build_zipf(m: int, gamma_r: float) -> PopularityProfile:
     gamma_r : float
         Skew exponent, finite and nonnegative.  0 yields the uniform library.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"library size must be an integer of at least 1, got m={m!r}")
-    if not math.isfinite(gamma_r) or gamma_r < 0:
-        raise ValueError(f"skew exponent must be finite and nonnegative, got gamma_r={gamma_r}")
+    m, gamma_r = _checked(int, m, "m", 1), _checked(float, gamma_r, "gamma_r", 0)
     rho = np.arange(1, m + 1, dtype=np.float64)
-    rho **= -float(gamma_r)
+    rho **= -gamma_r
     rho /= np.sum(rho)
     # plain float64 cumsum can drift past the 1e-12 budget for m near 1e6; the
     # carry joins each chunk's first term, so the additions are a straight cumsum's
@@ -78,7 +76,7 @@ def build_zipf(m: int, gamma_r: float) -> PopularityProfile:
         np.cumsum(part, out=part)
         carry = part[-1]
         prefix[lo : lo + part.size] = part
-    return PopularityProfile(m=int(m), gamma_r=float(gamma_r), rho=rho, p_hit_prefix=prefix)
+    return PopularityProfile(m=m, gamma_r=gamma_r, rho=rho, p_hit_prefix=prefix)
 
 
 def hitting_probability(profile: PopularityProfile, n_users: int) -> float:
@@ -87,12 +85,7 @@ def hitting_probability(profile: PopularityProfile, n_users: int) -> float:
     Users cache the ``n_users`` most popular contents, one distinct content
     each, so this is the prefix sum ``rho[0] + ... + rho[n_users-1]``.
     """
-    if isinstance(n_users, bool) or not isinstance(n_users, (int, np.integer)) or not 1 <= n_users <= profile.m:
-        raise ValueError(
-            f"n_users must be an integer in [1, m={profile.m}] (each user caches a distinct "
-            f"content), got {n_users!r}"
-        )
-    return float(profile.p_hit_prefix[n_users - 1])
+    return float(profile.p_hit_prefix[_checked(int, n_users, "n_users", 1, profile.m) - 1])
 
 
 def request_of_uniform(profile: PopularityProfile, u):

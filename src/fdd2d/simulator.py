@@ -12,10 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import (
-    SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_integer, _check_thresholds,
-)
+from .analytic import SI_MODELS, SI_PER_INTERFERER, ModelConfig, SuccessCurve, _check_thresholds
 from .popularity import PopularityProfile, request_of_uniform
+from .quadrature import _checked
 
 __all__ = [
     "Mode",
@@ -81,10 +80,8 @@ class SimConfig:
     si_model: str = SI_PER_INTERFERER
 
     def __post_init__(self):
-        _check_integer(self, "trials", 1)
-        _check_integer(self, "master_seed", 0)
-        if self.master_seed >= 2**64:
-            raise ValueError(f"master_seed must be a 64-bit nonnegative integer, got {self.master_seed}")
+        object.__setattr__(self, "trials", _checked(int, self.trials, "trials", 1))
+        object.__setattr__(self, "master_seed", _checked(int, self.master_seed, "master_seed", 0, 2**64 - 1))
         if self.si_model not in SI_MODELS:
             raise ValueError(f"si_model must be one of {SI_MODELS}, got {self.si_model!r}")
 

@@ -2,6 +2,7 @@ import ast
 import csv
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -314,6 +315,33 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
                            for c in spec["configs"]]
     assert marked == plain
     assert plain["configs"] == [(5, 0.8, 20.0, 4.0, 1e-5), (5, 0.8, 40.0, 4.0, 1e-5)]
+
+
+def test_config_file_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    # a "#" inside a value once cut it short, so the CSV went to the wrong path
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "c6#x.csv"
+    cfg.write_text(f"# a comment line\nn_users = 5  # five\nzipf = 0.8\t# tab\nout = {out}\n")
+    spec = parse_args(["--config", str(cfg)])
+    assert (spec.n_users, spec.zipf, spec.out) == (5, 0.8, str(out))
+
+
+def readme_commands():
+    """Every ``fdd2d ...`` command of README.md's fenced blocks, ``\\`` continuations joined, as argv lists."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines() if line.startswith("fdd2d ")]
+
+
+def test_readme_cli_examples_parse(tmp_path):
+    # a renamed flag or a changed rule fails here instead of leaving the README wrong
+    commands = readme_commands()
+    assert len(commands) >= 3
+    for argv in commands:
+        out = str(tmp_path / "out.csv")
+        spec = parse_args([*argv, "--out", out])
+        assert spec.out == out and spec.configs
 
 
 def loaded_modules(statements, packages, env_extra=None):
