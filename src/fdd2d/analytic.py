@@ -416,9 +416,12 @@ def success_probability(
 
 def _check_thresholds(thetas) -> np.ndarray:
     """``thetas`` as a float64 array, if it is a non-empty 1-D ascending grid of positive finite thresholds of integer or float dtype."""
-    thetas = np.asarray(thetas)
+    given, thetas = thetas, np.asarray(thetas)
     if thetas.dtype.kind not in "iuf":
         raise ValueError(f"thetas must be of integer or float dtype, got {thetas.dtype}")
+    # numpy casts a bool among a sequence's numbers to a number, so a sequence's own items are looked at
+    if not isinstance(given, np.ndarray) and thetas.ndim == 1 and any(isinstance(t, (bool, np.bool_)) for t in given):
+        raise ValueError("thetas must be numbers, not bools")
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("thetas must be a non-empty 1-D grid")

@@ -49,8 +49,8 @@ RUN_MODES = ("analytic", "simulate", "both")
 _MAX_THRESHOLDS = 10**6
 
 
-def _number(kind, valid=lambda v: True, requirement=""):
-    """Argparse converter of text to ``kind``, finite if float; a usage error unless ``valid``."""
+def _number(kind):
+    """Argparse converter of text to ``kind``, finite if float; the library checks the range."""
 
     def convert(text):
         try:
@@ -59,23 +59,17 @@ def _number(kind, valid=lambda v: True, requirement=""):
             raise argparse.ArgumentTypeError(f"expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"must {requirement}, got {value}")
         return value
 
     return convert
 
 
-_count = _number(int, lambda v: v >= 1, "be at least 1")
-
-# The one converter of each sweepable parameter, used by its flag and by --sweep.
-SWEEP_CONVERTERS = {
-    "n_users": _count,
-    "gamma_r": _number(float, lambda v: v >= 0, "be nonnegative"),
-    "radius": _number(float, lambda v: v > 0, "be positive"),
-    "beta": _number(float, lambda v: 0 <= v <= 1, "lie in [0, 1]"),
-}
+# The converter of each sweepable parameter, used by its flag and by --sweep.
+SWEEP_CONVERTERS = {"n_users": _number(int), "gamma_r": _number(float), "radius": _number(float), "beta": _number(float)}
 SWEEPABLE = tuple(SWEEP_CONVERTERS)
+# The flag of each parameter of a sweep point, in the order a point's usage error names them.
+_POINT_FLAGS = {"n_users": "--n-users", "library_size": "--library-size", "gamma_r": "--zipf",
+                "radius": "--radius", "alpha": "--alpha", "beta": "--beta"}
 
 
 def _theta_grid(text) -> np.ndarray:
@@ -125,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value file; flags override file values")
     parser.add_argument("--mode", choices=RUN_MODES, default="analytic", help="what to compute (default %(default)s)")
-    parser.add_argument("--n-users", dest="n_users", type=_count, help="number of users N (required)")
+    parser.add_argument("--n-users", dest="n_users", type=_number(int), help="number of users N (required unless swept)")
     parser.add_argument("--radius", type=SWEEP_CONVERTERS["radius"], default="30", help="disk radius in meters (default %(default)s)")
-    parser.add_argument("--library-size", dest="library_size", type=_count, default="1000", help="content library size m (default %(default)s)")
+    parser.add_argument("--library-size", dest="library_size", type=_number(int), default="1000", help="content library size m (default %(default)s)")
     parser.add_argument("--zipf", type=SWEEP_CONVERTERS["gamma_r"], default="1.2", help="Zipf skew exponent gamma_r (default %(default)s)")
-    parser.add_argument("--alpha", type=_number(float, lambda v: v > 2, "exceed 2"), default="4", help="path-loss exponent, > 2 (default %(default)s)")
+    parser.add_argument("--alpha", type=_number(float), default="4", help="path-loss exponent, > 2 (default %(default)s)")
     parser.add_argument("--beta", type=SWEEP_CONVERTERS["beta"], default="1e-5", help="residual self-interference power ratio in [0,1] (default %(default)s)")
     parser.add_argument("--theta-db", dest="theta_db", type=_theta_grid, default="-10:30:2", help="SIR threshold grid start:stop:step in dB (default %(default)s)")
     parser.add_argument(
@@ -139,11 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PARAM=V1,V2,...",
         help=f"sweep one of {SWEEPABLE}; repeat the flag to sweep several (cartesian product)",
     )
-    parser.add_argument("--trials", type=_count, default="10000", help="Monte Carlo trials (default %(default)s)")
-    parser.add_argument(
-        "--seed", type=_number(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"), default="0",
-        help="master seed for the simulator, an integer in [0, 2**64) (default %(default)s)",
-    )
+    parser.add_argument("--trials", type=_number(int), default="10000", help="Monte Carlo trials (default %(default)s)")
+    parser.add_argument("--seed", type=_number(int), default="0", help="master seed for the simulator, an integer in [0, 2**64) (default %(default)s)")
     parser.add_argument("--si-model", dest="si_model", choices=SI_MODELS, default=SI_PER_INTERFERER, help="self-interference accounting (default %(default)s)")
     parser.add_argument(
         "--quad-nodes", dest="quad_nodes", type=_quad_nodes, default="", metavar="LEVEL=K,...",
@@ -223,14 +214,15 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     ``run`` reads ``mode``, ``configs`` (the ``ModelConfig`` of each point of
     ``sweep``, whose ``(parameter, values)`` pairs are in flag order),
-    ``theta_db`` (the dB grid as an array), ``trials``, ``seed``,
-    ``si_model``, ``quad_nodes`` (a ``QuadratureSpec``) and ``out``.  A
-    config file's lines are read as the flags they name, placed before the
-    command line's, so flags win and argparse checks each value's ``type``
-    and ``choices`` whichever source gives it; ``--sweep`` values go through
-    the same converters.  The models and the quadrature rule check themselves
-    as they are built.  Usage problems, a config file that is not text among
-    them, exit with status 2 and a message naming the flag.
+    ``theta_db`` (the dB grid as an array), ``sim`` (the ``SimConfig`` of
+    ``trials``, ``seed`` and ``si_model``), ``quad_nodes`` (a
+    ``QuadratureSpec``) and ``out``.  A config file's lines are read as the
+    flags they name, placed before the command line's, so flags win; the
+    converters only parse, whichever source gives a value.  The models and
+    ``SimConfig`` check each value the run uses as they are built here, so a
+    bad one exits with status 2 before any work.  A swept parameter's values
+    replace its flag, which goes unchecked, and ``--n-users`` is required
+    unless swept.  Every usage error names the flag.
     """
     parser = _build_parser()
     argv = _join_theta_flag(sys.argv[1:] if argv is None else list(argv))
@@ -245,19 +237,23 @@ def parse_args(argv=None) -> argparse.Namespace:
         resolve_workers()
     except ValueError as exc:
         error(str(exc))
-    if args.n_users is None:
-        error("--n-users is required (flag or config file)")
-
     args.sweep = _parse_sweep(args.sweep or [], error)
     # a swept parameter's values replace its flag in every point of the run
-    source = {name: f"--sweep {name}" for name, _ in args.sweep}
+    swept = {name for name, _ in args.sweep}
+    if args.n_users is None and "n_users" not in swept:
+        error("--n-users is required (flag or config file) unless n_users is swept")
+    flags = [f"--sweep {name}" if name in swept else flag for name, flag in _POINT_FLAGS.items()]
     profiles, args.configs = {}, []
     # the points are the cartesian product of the sweep, first parameter outermost
     for point in itertools.product(*([(name, v) for v in values] for name, values in args.sweep)):
         try:
             args.configs.append(_point_config(args, dict(point), profiles))
         except ValueError as exc:
-            error(f"{source.get('n_users', '--n-users')}, --library-size, {source.get('radius', '--radius')} and --alpha: {exc}")
+            error(f"{', '.join(flags[:-1])} and {flags[-1]}: {exc}")
+    try:
+        args.sim = SimConfig(trials=args.trials, master_seed=args.seed, si_model=args.si_model)
+    except ValueError as exc:
+        error(f"--trials and --seed: {exc}")
     return args
 
 
@@ -287,7 +283,7 @@ def _rows(spec: argparse.Namespace, thetas, cfg: ModelConfig, curve_a, curve_s):
         *((curve_s.p_total, curve_s.ci_halfwidth) if curve_s is not None else blank),
     )
     fixed = [_fmt(v) for v in (cfg.n_users, cfg.profile.gamma_r, cfg.disk.radius, cfg.channel.alpha, cfg.channel.beta,
-                               *((spec.trials, spec.seed) if curve_s is not None else ("", "")))]
+                               *((spec.sim.trials, spec.sim.master_seed) if curve_s is not None else ("", "")))]
     for values in columns:
         yield [*map(_fmt, values), *fixed]
 
@@ -295,19 +291,18 @@ def _rows(spec: argparse.Namespace, thetas, cfg: ModelConfig, curve_a, curve_s):
 def run(spec: argparse.Namespace) -> int:
     """Execute the experiment of a ``parse_args`` namespace, write the CSV, and print the summary.
 
-    Reads the attributes that ``parse_args`` names, ``configs`` and ``quad_nodes`` among them.
+    Reads the attributes that ``parse_args`` names, ``configs``, ``sim`` and ``quad_nodes`` among them.
     Each point's curves are kept, and its rows formatted only as the CSV is written after the last point.
     Returns the process exit code: 0 on success, 3 on output I/O failure.
     """
     thetas = 10.0 ** (spec.theta_db / 10.0)
     simulate = spec.mode in ("simulate", "both")
     analytic = spec.mode in ("analytic", "both")
-    sim = SimConfig(trials=spec.trials, master_seed=spec.seed, si_model=spec.si_model)
     curves = []
     gap_overall = None
     # every point's tasks are queued before the first analytic curve,
     # so the workers simulate while this process computes curves
-    with simulate_points(spec.configs if simulate else [], sim, thetas) as simulated:
+    with simulate_points(spec.configs if simulate else [], spec.sim, thetas) as simulated:
         for cfg in spec.configs:
             mp = compute_mode_probabilities(cfg.profile, cfg.n_users)
             print(

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdd2d.cli import CSV_COLUMNS, main, parse_args, run
+from fdd2d.cli import CSV_COLUMNS, SWEEPABLE, main, parse_args, run
 
 # CLI subprocesses import the checkout's package, installed or not
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -86,23 +86,57 @@ def test_unusable_theta_grid_exits_2(grid, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "name, flag, bad",
-    [("n_users", "--n-users", "0"), ("gamma_r", "--zipf", "-0.5"), ("radius", "--radius", "0"), ("beta", "--beta", "1.5")],
-)
-def test_sweepable_value_out_of_range_exits_2(name, flag, bad, tmp_path, capsys):
-    # one converter checks each parameter from its flag, the config file and --sweep
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("".join(f"{key} = {value}\n" for key, value in {"n_users": "5", flag[2:].replace("-", "_"): bad}.items()))
-    for argv, named in (
-        (["--n-users", "5", flag, bad], flag),
-        (["--config", str(cfg)], flag),
-        (["--n-users", "5", "--sweep", f"{name}={bad}"], f"--sweep {name}"),
-    ):
+def config_setting(path, flag, value):
+    """Write a config file of ``n_users = 5`` with ``flag``'s key set to ``value``, and return its path."""
+    path.write_text("".join(f"{key} = {v}\n" for key, v in {"n_users": "5", flag[2:].replace("-", "_"): value}.items()))
+    return path
+
+
+# (parameter, flag, value out of range, the library's message); the first four can be swept
+OUT_OF_RANGE = [
+    ("n_users", "--n-users", "0", "n_users must be an integer >= 1, got 0"),
+    ("gamma_r", "--zipf", "-0.5", "gamma_r must be a finite number >= 0, got -0.5"),
+    ("radius", "--radius", "0", "radius must be a finite number > 0, got 0.0"),
+    ("beta", "--beta", "1.5", "beta must be a finite number in [0, 1], got 1.5"),
+    ("library_size", "--library-size", "0", "m must be an integer >= 1, got 0"),
+    ("alpha", "--alpha", "2", "alpha must be a finite number > 2, got 2.0"),
+    ("trials", "--trials", "0", "trials must be an integer >= 1, got 0"),
+    ("seed", "--seed", "-1", "master_seed must be an integer in [0, 18446744073709551615], got -1"),
+]
+
+
+@pytest.mark.parametrize("name, flag, bad, message", OUT_OF_RANGE, ids=["-".join(case[:3]) for case in OUT_OF_RANGE])
+def test_sweepable_value_out_of_range_exits_2(name, flag, bad, message, tmp_path, capsys):
+    # the converters only parse, so the library checks each value from its flag, the config file and --sweep
+    cfg = config_setting(tmp_path / "bad.cfg", flag, bad)
+    sources = [(["--n-users", "5", flag, bad], flag), (["--config", str(cfg)], flag)]
+    if name in SWEEPABLE:
+        sources.append((["--n-users", "5", "--sweep", f"{name}={bad}"], f"--sweep {name}"))
+    for argv, named in sources:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and message in err
+
+
+@pytest.mark.parametrize("flag, bad, sweep", [("--n-users", "0", "n_users=5"), ("--zipf", "-1", "gamma_r=0.8"),
+                                              ("--radius", "0", "radius=10,20"), ("--beta", "2", "beta=0.1")])
+def test_value_a_sweep_replaces_is_not_checked(flag, bad, sweep, tmp_path):
+    # the run never uses the flag's value, whether the flag or the config file gives it
+    def points(argv):
+        return [(c.n_users, c.profile.gamma_r, c.disk.radius, c.channel.beta) for c in parse_args([*argv, "--sweep", sweep]).configs]
+
+    cfg = config_setting(tmp_path / "replaced.cfg", flag, bad)
+    reference = points(["--n-users", "5"])
+    assert points(["--n-users", "5", flag, bad]) == reference
+    assert points(["--config", str(cfg)]) == reference
+
+
+def test_swept_n_users_needs_no_n_users_flag(tmp_path):
+    out = tmp_path / "out.csv"
+    assert run(parse_args(["--sweep", "n_users=5,10", "--theta-db", "0:0:1", *QUICK_NODES, "--out", str(out)])) == 0
+    assert [r["n_users"] for r in read_rows(out)] == ["5", "10"]
 
 
 @pytest.mark.parametrize(

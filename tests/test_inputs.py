@@ -102,8 +102,10 @@ def test_scalar_input_takes_numpy_numbers_as_python_ones(entry, data):
 
 @pytest.mark.parametrize(
     "thetas",
-    [["1", "2"], np.array([1, 2], dtype=complex), np.array([1.0, 2.0], dtype=object), [None, 2.0], [True, True]],
-    ids=["str", "complex", "object", "none", "bool"],
+    [["1", "2"], np.array([1, 2], dtype=complex), np.array([1.0, 2.0], dtype=object), [None, 2.0], [True, True],
+     [0.5, True], [1, True], (1, np.True_)],
+    # numpy casts a bool among numbers to 1, so a list that mixes them has a float or integer dtype
+    ids=["str", "complex", "object", "none", "bool", "bool-among-floats", "bool-among-ints", "numpy-bool-in-tuple"],
 )
 def test_threshold_grid_must_have_integer_or_float_dtype(thetas):
     with pytest.raises(ValueError, match="thetas"):
